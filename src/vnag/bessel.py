@@ -1,69 +1,113 @@
-"""First-order Bessel functions J1 and Y1, dependency-free.
+"""First-order Bessel functions J1 and Y1, dependency-free, in float64.
 
-Two regimes:
+Three regions:
 
-* x < 20: the defining power series.  The series is summed in 40-digit
-  decimal arithmetic because the terms grow to ~1e7 before they decay, and
-  the resulting cancellation in float64 would cost up to six digits right
-  where the conjugate-point analysis needs full accuracy (near the zeros of
-  J1/Y1).  The extended-precision sum returns a correctly rounded double.
-* x >= 20: Hankel asymptotic expansions with optimal truncation.  At the
-  crossover the truncation error is below 1e-16 of the envelope, and the two
-  regimes agree to ~1e-14 relative in an overlap window (tested).
+* x < 4.5: the defining power series (DLMF 10.8.1), J1 and Y1 summed in one
+  loop.  Here the terms stay below ~10, so the cancellation costs at most a
+  digit of the absolute accuracy.
+* 4.5 <= x < 20: a Taylor expansion about the nearest integer anchor
+  x0 = 5..20 (|h| <= 0.5, 20 terms).  The coefficients come from the Bessel
+  equation x^2 f'' + x f' + (x^2 - 1) f = 0 (DLMF 10.2.1) as a four-term
+  recurrence.  The anchor values are built once at import: the series gives
+  (J1, J1', Y1, Y1') at x = 4, and unit Taylor steps of 30 terms carry them
+  to x = 20 in about a millisecond.
+* x >= 20: Hankel asymptotic expansions (DLMF 10.17) with optimal
+  truncation; at the crossover the truncation error is below 1e-16 of the
+  envelope.
 
-Accuracy target: 1e-10 relative on [1e-3, 1e3]; measured worst case is
-~4e-12 against a 40-digit reference.
+Absolute error is about 1e-15 * max(1, |Y1|) on [0.01, 25], including
+next to the zeros, where the conjugate-point search needs it; the regions
+agree to better than 1e-12 at their seams (tested).  Accuracy target: 1e-10
+relative on [1e-3, 1e3]; measured worst case is ~4e-12, from the Hankel
+branch.
 """
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 
-_PREC = 45
-_PI = Decimal("3.141592653589793238462643383279502884197169399375105820975")
-_EULER_GAMMA = Decimal("0.577215664901532860606512090082402431042159335939923598806")
-_CUTOFF = Decimal("1e-36")
+_EULER_GAMMA = 0.5772156649015329
+_SERIES_MAX = 4.5
 _SWITCH = 20.0
+_ANCHORS = range(5, 21)  # integer Taylor anchors covering [4.5, 20)
+_TERMS = 20  # Taylor terms kept per anchor (|h| <= 0.5)
+_STEP_TERMS = 30  # Taylor terms of one unit step while building the anchors
 _MU = 4.0  # 4 * nu^2 for nu = 1
 
 
-def _series_j1(xd: Decimal) -> Decimal:
-    half = xd / 2
-    q = half * half
-    term = half
-    total = term
-    m = 1
-    while m < 600:
-        term = -term * q / (m * (m + 1))
-        total += term
-        if abs(term) <= abs(total) * _CUTOFF:
+def _series(x: float) -> tuple[float, float, float, float]:
+    """(J1, Y1, J1', Y1') from the power series; accurate for x < ~5.
+
+    DLMF 10.8.1 specialized to order one:
+    Y1(x) = (2/pi) ln(x/2) J1(x) - 2/(pi x)
+            - (1/pi) sum_k (psi(k+1)+psi(k+2)) (-1)^k (x/2)^(2k+1) / (k!(k+1)!)
+    """
+    half = 0.5 * x
+    q = -half * half
+    term = half  # (-1)^k (x/2)^(2k+1) / (k! (k+1)!); its x-derivative is (2k+1) term / x
+    g = 1.0 - 2.0 * _EULER_GAMMA  # psi(k+1) + psi(k+2) = H_k + H_{k+1} - 2 gamma
+    j = dj = term
+    s = ds = term * g
+    for k in range(1, 40):
+        term *= q / (k * (k + 1))
+        g += 1.0 / k + 1.0 / (k + 1)
+        m = 2 * k + 1
+        j += term
+        dj += m * term
+        s += term * g
+        ds += m * term * g
+        if abs(term) < 1e-17 * half:
             break
-        m += 1
-    return total
+    log_half = math.log(half)
+    y = (2.0 * log_half * j - 2.0 / x - s) / math.pi
+    dy = (2.0 * (j + log_half * dj) / x + 2.0 / (x * x) - ds / x) / math.pi
+    return j, y, dj / x, dy
 
 
-def _series_y1(xd: Decimal) -> Decimal:
-    # DLMF 10.8.1 specialized to order one:
-    # Y1(x) = (2/pi) ln(x/2) J1(x) - 2/(pi x)
-    #         - (1/pi) sum_k (psi(k+1)+psi(k+2)) (-1)^k (x/2)^(2k+1) / (k!(k+1)!)
-    half = xd / 2
-    q = half * half
-    j1 = _series_j1(xd)
-    h_k = Decimal(0)      # harmonic number H_0
-    h_k1 = Decimal(1)     # H_1
-    coef = half           # (x/2)^(2k+1) / (k! (k+1)!) at k = 0
-    total = coef * (h_k + h_k1 - 2 * _EULER_GAMMA)
-    k = 1
-    while k < 600:
-        h_k = h_k1
-        h_k1 += Decimal(1) / (k + 1)
-        coef = -coef * q / (k * (k + 1))
-        term = coef * (h_k + h_k1 - 2 * _EULER_GAMMA)
-        total += term
-        if abs(term) <= (abs(total) + 1) * _CUTOFF:
-            break
-        k += 1
-    return (2 / _PI) * half.ln() * j1 - 2 / (_PI * xd) - total / _PI
+def _taylor_coeffs(x0: float, f: float, df: float, n: int) -> list:
+    """First n Taylor coefficients about x0 of the order-one Bessel solution
+    with f(x0) = f, f'(x0) = df, from the equation's recurrence:
+
+    a_{k+2} = -[x0 (k+1)(2k+1) a_{k+1} + (k^2 + x0^2 - 1) a_k
+                + 2 x0 a_{k-1} + a_{k-2}] / (x0^2 (k+1)(k+2))
+    """
+    x2 = x0 * x0
+    a = [0.0, 0.0, f, df]  # a_{-2}, a_{-1}, a_0, a_1
+    for k in range(n - 2):
+        a.append(-(x0 * (k + 1) * (2 * k + 1) * a[k + 3] + (k * k + x2 - 1.0) * a[k + 2]
+                   + 2.0 * x0 * a[k + 1] + a[k]) / (x2 * (k + 1) * (k + 2)))
+    return a[2:]
+
+
+def _unit_step(a: list) -> tuple[float, float]:
+    """(f, f') one unit past the anchor of the coefficients a."""
+    return math.fsum(a), math.fsum(k * ak for k, ak in enumerate(a))
+
+
+def _build_anchors() -> tuple[tuple, tuple]:
+    """Reversed (Horner-order) Taylor coefficients of J1 and Y1 at each anchor."""
+    j, y, dj, dy = _series(_ANCHORS[0] - 1.0)
+    j_coeffs, y_coeffs = [], []
+    for x0 in range(_ANCHORS[0] - 1, _ANCHORS[-1] + 1):
+        aj = _taylor_coeffs(float(x0), j, dj, _STEP_TERMS)
+        ay = _taylor_coeffs(float(x0), y, dy, _STEP_TERMS)
+        if x0 >= _ANCHORS[0]:
+            j_coeffs.append(tuple(reversed(aj[:_TERMS])))
+            y_coeffs.append(tuple(reversed(ay[:_TERMS])))
+        j, dj = _unit_step(aj)
+        y, dy = _unit_step(ay)
+    return tuple(j_coeffs), tuple(y_coeffs)
+
+
+_J_COEFFS, _Y_COEFFS = _build_anchors()
+
+
+def _taylor(x: float, coeffs: tuple, x0: int) -> float:
+    """Horner evaluation of the expansion about the anchor x0 at x."""
+    h = x - x0
+    acc = 0.0
+    for a in coeffs[x0 - _ANCHORS[0]]:
+        acc = acc * h + a
+    return acc
 
 
 def _hankel_pq(x: float) -> tuple[float, float]:
@@ -105,11 +149,11 @@ def bessel_j1(x: float) -> float:
         raise ValueError("bessel_j1 requires x >= 0")
     if x == 0.0:
         return 0.0
-    if x >= _SWITCH:
-        return _asymptotic(x)[0]
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        return float(_series_j1(Decimal(x)))
+    if x < _SERIES_MAX:
+        return _series(x)[0]
+    if x < _SWITCH:
+        return _taylor(x, _J_COEFFS, int(x + 0.5))
+    return _asymptotic(x)[0]
 
 
 def bessel_y1(x: float) -> float:
@@ -117,8 +161,8 @@ def bessel_y1(x: float) -> float:
     x = float(x)
     if x <= 0:
         raise ValueError("bessel_y1 requires x > 0")
-    if x >= _SWITCH:
-        return _asymptotic(x)[1]
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        return float(_series_y1(Decimal(x)))
+    if x < _SERIES_MAX:
+        return _series(x)[1]
+    if x < _SWITCH:
+        return _taylor(x, _Y_COEFFS, int(x + 0.5))
+    return _asymptotic(x)[1]

@@ -208,9 +208,12 @@ class Writer:
         return str(p)
 
     def json(self, name: str, obj) -> str:
-        # allow_nan=False: a NaN/inf reaching a report is a bug, not data
-        return self.text(name, json.dumps(obj, indent=2, sort_keys=True,
-                                          allow_nan=False) + "\n")
+        # allow_nan=False: a NaN/inf reaching a report is a numerical failure
+        try:
+            text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalError(f"{name}: {exc}") from exc
+        return self.text(name, text + "\n")
 
     def cleanup(self):
         for p in self.paths:
@@ -609,6 +612,13 @@ def _run(args) -> int:
             body = cmd_classify(cfg, writer, seed)
         else:
             body = cmd_reproduce(args.figure, writer, seed)
+        elapsed = time.perf_counter() - start
+        report = {"experiment": cfg.get("experiment",
+                                        getattr(args, "figure", None) or args.command),
+                  "tool": {"name": "vnag", "version": __version__},
+                  "seed": seed, **body}
+        report["artifacts"] = sorted(p.name for p in writer.paths)
+        writer.json("report.json", report)
     except ConfigError as exc:
         writer.cleanup()
         print(f"vnag: config error: {exc}", file=sys.stderr)
@@ -620,13 +630,6 @@ def _run(args) -> int:
     except Exception:
         writer.cleanup()
         raise
-    elapsed = time.perf_counter() - start
-    report = {"experiment": cfg.get("experiment",
-                                    getattr(args, "figure", None) or args.command),
-              "tool": {"name": "vnag", "version": __version__},
-              "seed": seed, **body}
-    report["artifacts"] = sorted(p.name for p in writer.paths)
-    writer.json("report.json", report)
     # wall-clock goes to stderr only: report files stay byte-deterministic
     print(f"vnag {args.command}: ok ({elapsed:.2f}s) -> {writer.dir}", file=sys.stderr)
     return 0

@@ -25,7 +25,8 @@ from .errors import NumericalError
 from .perturbations import triangle
 from .potentials import Polynomial1D, QuadraticDiagonal
 
-_BISECT_TOL = 1e-12
+_ROOT_TOL = 1e-12  # absolute bracket width; widened to a few ulps for large arguments
+_REFINE_CAP = 100
 _DIP_FRACTION = 1e-11
 _SEARCH_SPAN = 50.0  # first-conjugate search cap: t1 + 50/sqrt(lam)
 
@@ -117,6 +118,42 @@ def jacobi_closed_constant(alpha: float, beta: float, t1: float, t: float) -> fl
 
 
 # --------------------------------------------------------------------------
+# root refinement
+
+
+def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in a sign-change bracket a < b (fa * fb < 0).
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): the false-position
+    point replaces the end whose value has the same sign, and an end kept
+    twice in a row has its value halved, so both ends close in.  Stops once
+    the bracket is narrower than 1e-12 or four ulps of max(|a|, |b|),
+    whichever is wider, and returns its midpoint.
+    """
+    tol = max(_ROOT_TOL, 4.0 * math.ulp(max(abs(a), abs(b))))
+    side = 0  # +1: a moved last, -1: b moved last
+    for _ in range(_REFINE_CAP):
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        # at least tol/2 from either end, so a root next to an end closes the bracket
+        c = min(max(b - fb * (b - a) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        else:
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+    raise NumericalError(f"root refinement did not converge on [{a!r}, {b!r}]")
+
+
+# --------------------------------------------------------------------------
 # Bessel cross-product roots (vanishing damping, c = 3)
 
 
@@ -149,15 +186,7 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
         if w_a == 0.0:
             roots.append(s_a / rb)
         elif w_a * w_b < 0.0:
-            lo, hi, w_lo = s_a, s_b, w_a
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                w_mid = w(mid)
-                if w_lo * w_mid <= 0.0:
-                    hi = mid
-                else:
-                    lo, w_lo = mid, w_mid
-            roots.append(0.5 * (lo + hi) / rb)
+            roots.append(_refine(w, s_a, s_b, w_a, w_b) / rb)
             if max_roots is not None and len(roots) >= max_roots:
                 return roots
         s_a, w_a = s_b, w_b
@@ -225,24 +254,18 @@ def _h_from_state(t0: float, y0: float, u0: float, tq: float,
 
 
 def _zeros_from_grid(ts, ys, us, dampf, qfn) -> list:
-    """Sign-change detection on the marched grid plus bisection refinement."""
+    """Sign-change detection on the marched grid, refined by re-integrating
+    from the node before each sign change."""
     zeros = []
     running_max = 0.0
     n = len(ts) - 1
     for i in range(1, n + 1):
         running_max = max(running_max, abs(ys[i - 1]))
         if ys[i - 1] != 0.0 and ys[i - 1] * ys[i] < 0.0:
-            a, b = ts[i - 1], ts[i]
-            ya = ys[i - 1]
             t0, y0, u0 = ts[i - 1], ys[i - 1], us[i - 1]
-            while b - a > _BISECT_TOL:
-                mid = 0.5 * (a + b)
-                ym = _h_from_state(t0, y0, u0, mid, dampf, qfn)
-                if ya * ym <= 0.0:
-                    b = mid
-                else:
-                    a, ya = mid, ym
-            zeros.append(0.5 * (a + b))
+            zeros.append(_refine(
+                lambda tq: _h_from_state(t0, y0, u0, tq, dampf, qfn),
+                t0, ts[i], y0, ys[i]))
         elif 0 < i < n and running_max > 0.0 and abs(ys[i]) < _DIP_FRACTION * running_max \
                 and abs(ys[i - 1]) > abs(ys[i]) < abs(ys[i + 1]) \
                 and ys[i - 1] * ys[i + 1] > 0.0:
@@ -455,7 +478,8 @@ def saddle_witness(beta: float, t1: float, t2: float,
     out = {}
     for label, eps in (("small", 0.5 * min(star, eps_max)),
                        ("large", 0.5 * (star + eps_max))):
-        h = triangle(c, eps, t1, t2)
+        # the corner blend must stay inside (t1, t2) when eps is close to eps_max
+        h = triangle(c, eps, t1, t2, delta=min(eps / 1000.0, 0.5 * (eps_max - eps)))
         out[label] = {
             "perturbation": h.descriptor(),
             "d2j_quadrature": second_variation(spec, t1, t2, h, n_steps=n_steps),

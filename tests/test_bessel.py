@@ -39,18 +39,40 @@ def test_against_high_precision_oracle():
 
 
 def test_regime_overlap():
-    # series and asymptotic implementations agree around the crossover
-    from vnag.bessel import _asymptotic, _series_j1, _series_y1
-    from decimal import Decimal, localcontext
-    with localcontext() as ctx:
-        ctx.prec = 45
-        for x in (18.0, 19.0, 20.0, 21.0, 22.0):
-            ja, ya = _asymptotic(x)
-            js = float(_series_j1(Decimal(x)))
-            ys = float(_series_y1(Decimal(x)))
-            assert abs(ja - js) <= 1e-12
-            assert abs(ya - ys) <= 1e-12
-    assert _SWITCH == 20.0
+    # neighbouring regions agree at every seam: series against the first
+    # Taylor anchor at 4.5, adjacent anchors at each half-integer, and the
+    # last anchor against the Hankel expansion at the switch
+    from vnag.bessel import (_ANCHORS, _J_COEFFS, _SERIES_MAX, _Y_COEFFS,
+                             _asymptotic, _series, _taylor)
+    assert _SERIES_MAX == 4.5 and _SWITCH == 20.0
+    assert list(_ANCHORS) == list(range(5, 21))
+    js, ys = _series(4.5)[:2]
+    assert abs(js - _taylor(4.5, _J_COEFFS, 5)) <= 1e-12
+    assert abs(ys - _taylor(4.5, _Y_COEFFS, 5)) <= 1e-12
+    for x0 in range(5, 20):
+        for coeffs in (_J_COEFFS, _Y_COEFFS):
+            x = x0 + 0.5
+            assert abs(_taylor(x, coeffs, x0) - _taylor(x, coeffs, x0 + 1)) <= 1e-12
+    ja, ya = _asymptotic(20.0)
+    assert abs(ja - _taylor(20.0, _J_COEFFS, 20)) <= 1e-12
+    assert abs(ya - _taylor(20.0, _Y_COEFFS, 20)) <= 1e-12
+
+
+def test_dense_absolute_accuracy():
+    # the root search needs absolute accuracy next to the zeros, which the
+    # relative log grid of criterion 03 never samples
+    zeros = [float(mp.besseljzero(1, k)) for k in range(1, 8)] + \
+            [float(mp.besselyzero(1, k)) for k in range(1, 9)]
+    assert max(zeros) < 25.0
+    xs = list(np.linspace(0.01, 25.0, 2500)) + zeros + \
+        [z + d for z in zeros for d in (-1e-6, 1e-6)]
+    for x in xs:
+        x = float(x)
+        oj = float(mp.besselj(1, x))
+        oy = float(mp.bessely(1, x))
+        tol = 1e-14 * max(1.0, abs(oy))
+        assert abs(bessel_j1(x) - oj) <= tol, x
+        assert abs(bessel_y1(x) - oy) <= tol, x
 
 
 def test_no_global_decimal_context_mutation():

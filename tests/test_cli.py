@@ -114,6 +114,19 @@ def test_numerical_failure_exit_code(tmp_path):
     assert not list(out.glob("*"))
 
 
+def test_non_finite_report_exit_code(tmp_path):
+    # exp(alpha t) overflows on this window and d2J is NaN
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "potential": {"kind": "quadratic", "eigenvalues": [1.0]},
+        "damping": {"kind": "constant", "alpha": 10.0},
+        "interval": {"t1": 0.5, "t2": 100.0},
+        "perturbations": [{"kind": "sinusoid", "k": 1}],
+    })
+    out = tmp_path / "out"
+    assert main(["second-variation", "--config", cfg, "--out", str(out)]) == 3
+    assert not list(out.glob("*"))
+
+
 def test_second_variation_sweep(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json", {
         "potential": {"kind": "quadratic", "eigenvalues": [1.0]},

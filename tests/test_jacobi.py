@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   Vanishing, classify, conjugate_points_along,
@@ -180,6 +182,55 @@ def test_closed_vanishing_not_identically_zero():
         assert np.max(np.abs(vals)) > 0.0
 
 
+def test_root_search_terminates_at_large_times():
+    # past t ~ 8192 one ulp exceeds 1e-12, so an absolute bracket width
+    # alone can never be reached; both routes must still return
+    cls = classify(QuadraticDiagonal([1.0]), Vanishing(3.0), 1e4, 1e4 + 10.0)
+    assert cls.verdict == "saddle"
+    assert abs(cls.first_conjugate_times[0] - (1e4 + math.pi)) <= 1e-6
+    tau = first_conjugate_time(LagrangianSpec(Vanishing(2.5), QuadraticDiagonal([1.0])),
+                               1.0, 1e4)
+    assert abs(tau - (1e4 + math.pi)) <= 1e-6
+
+
+def _check_time_scaling(c, lam, t1, k):
+    # h(t/s) solves the Jacobi equation for lam/s^2 under the same c/t
+    # damping, so tau(lam/s^2, s t1) = s tau(lam, t1).  With s a power of two
+    # every floating-point operation scales exactly.
+    s = 2.0 ** k
+    tau = first_conjugate_time(LagrangianSpec(Vanishing(c), QuadraticDiagonal([lam])), lam, t1)
+    scaled = first_conjugate_time(
+        LagrangianSpec(Vanishing(c), QuadraticDiagonal([lam / s ** 2])), lam / s ** 2, s * t1)
+    assert tau is not None and t1 < tau
+    return tau, scaled, s
+
+
+_lams = st.floats(min_value=0.05, max_value=20.0)
+_t1s = st.floats(min_value=0.2, max_value=1e4)
+_ks = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(lam=1.0, t1=1e4, k=1)
+@example(lam=1.0, t1=1e4, k=-2)
+@given(lam=_lams, t1=_t1s, k=_ks)
+def test_time_scaling_bessel(lam, t1, k):
+    # the Bessel route works in s = sqrt(lam) t, which both problems share
+    tau, scaled, s = _check_time_scaling(3.0, lam, t1, k)
+    assert scaled == s * tau
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@example(lam=1.0, t1=1e4, k=1)
+@example(lam=1.0, t1=1e4, k=-2)
+@given(lam=_lams, t1=_t1s, k=_ks)
+def test_time_scaling_shooting(lam, t1, k):
+    # shooting scales exactly too; only the absolute 1e-12 stopping width of
+    # the root refinement does not
+    tau, scaled, s = _check_time_scaling(2.5, lam, t1, k)
+    assert abs(scaled - s * tau) <= 1e-10 * s * tau
+
+
 def test_classify_overdamped_minimizer():
     pot = QuadraticDiagonal([1.0])
     for alpha in (2.0, 2.5):
@@ -268,6 +319,16 @@ def test_saddle_witness():
     assert w["small"]["d2j_closed_form"] > 0 > w["large"]["d2j_closed_form"]
     # too short an interval: no wide-bump certificate available
     assert saddle_witness(1.0, 1.0, 2.0) is None
+    # eps* just 0.12% below the half-width: the wide probe's corner blend
+    # must shrink to stay inside the window
+    beta, t1, t2 = 10.2316, 1.04398, 2.17227
+    w = saddle_witness(beta, t1, t2)
+    assert w is not None
+    assert 0.99 * 0.5 * (t2 - t1) < w["epsilon_star"] < 0.5 * (t2 - t1)
+    assert w["small"]["d2j_quadrature"] > 0 > w["large"]["d2j_quadrature"]
+    for key in ("small", "large"):
+        closed = w[key]["d2j_closed_form"]
+        assert abs(w[key]["d2j_quadrature"] - closed) <= 1e-4 * abs(closed)
 
 
 def test_quadrature_matches_triangle_closed_form():
