@@ -176,8 +176,7 @@ def _q_values(spec: LagrangianSpec, nodes: np.ndarray, comp: int,
         if base is None:
             raise ValueError("Polynomial1D second variation needs a base trajectory")
         xs, _ = base.sample(nodes)
-        fpp = np.array([spec.pot.second_deriv(x) for x in xs[:, 0]])
-        return -fpp * w
+        return -spec.pot.second_deriv(xs[:, 0]) * w
     raise ValueError("unsupported potential kind")
 
 
@@ -197,8 +196,10 @@ def second_variation(spec: LagrangianSpec, t1: float, t2: float, h,
         q = _q_values(spec, nodes, comp, base)
         hv = h.value(nodes)
         hd = h.deriv(nodes)
-        integrand = 0.5 * (w * hd * hd + q * hv * hv)
-        total += _simpson(integrand, float(nodes[1] - nodes[0]))
+        # an overflowing weight makes d2J non-finite; callers check the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = 0.5 * (w * hd * hd + q * hv * hv)
+            total += _simpson(integrand, float(nodes[1] - nodes[0]))
     return float(total)
 
 

@@ -11,7 +11,9 @@ the generalized exponential-schedule dynamics
 
 for Euclidean geometry.  All integration is classical fixed-step RK4 in
 phase space (X, V); fixed grids are what the quadrature and conjugate-point
-machinery downstream require.
+machinery downstream require.  Linear systems (quadratic flows in x - x*, and
+Jacobi fields) chain per-direction 2x2 RK4 step maps by a chunked prefix
+scan; nonlinear flows step sequentially.
 """
 from __future__ import annotations
 
@@ -22,9 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .potentials import Potential
+from .potentials import Potential, QuadraticDiagonal
 
 _UNIFORM_RTOL = 1e-12
+_CHUNK = 4096  # steps x directions per scan chunk; bounds the propagator's memory
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,10 @@ class Constant:
         return self.alpha if np.isscalar(t) else np.full_like(np.asarray(t, float), self.alpha)
 
     def weight(self, t):
-        """Lagrangian time weight exp(alpha * t)."""
-        return np.exp(self.alpha * np.asarray(t, dtype=float)) if not np.isscalar(t) \
-            else math.exp(self.alpha * t)
+        """Lagrangian time weight exp(alpha * t); an array overflows to inf."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.alpha * np.asarray(t, dtype=float)) if not np.isscalar(t) \
+                else math.exp(self.alpha * t)
 
     def descriptor(self) -> dict:
         return {"kind": "constant", "alpha": self.alpha}
@@ -192,6 +196,60 @@ def _rk4(rhs: Callable, y0: np.ndarray, t1: float, t2: float, n_steps: int) -> n
     return out
 
 
+def _step_maps(dampf, qfn, t, h):
+    """RK4 maps M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = [[0, 1], [-q, -d]] y
+    over [t, t + h], one per start time in t (m,) and direction, as four
+    (m, k) entry arrays; qfn(times) broadcasts against (m, k)."""
+    def coef(s):
+        return -qfn(s), -dampf(s)[:, None]
+
+    mid = coef(t + 0.5 * h)
+    k = (0.0, 1.0, *coef(t))
+    ks = [k]
+    for (a, b), c in ((mid, 0.5 * h), (mid, 0.5 * h), (coef(t + h), h)):
+        # next K = [[0, 1], [a, b]] (I + c K)
+        p00, p01, p10, p11 = 1.0 + c * k[0], c * k[1], c * k[2], 1.0 + c * k[3]
+        k = (p10, p11, a * p00 + b * p10, a * p01 + b * p11)
+        ks.append(k)
+    c = h / 6.0
+    s = [k1 + 2.0 * (k2 + k3) + k4 for k1, k2, k3, k4 in zip(*ks)]
+    return [1.0 + c * s[0], c * s[1], c * s[2], 1.0 + c * s[3]]
+
+
+def _linear_chunks(dampf, qfn, y0, u0, t1: float, h: float, n_steps: int):
+    """March y'' = -d(t) y' - q(t) y per direction from (y, y') = (y0, u0) (k,) at
+    t1 over n_steps RK4 steps of size h.  Yields (i0, y, y') per chunk of
+    m = _CHUNK // k steps from step i0 on, y and y' (m, k) at the step ends;
+    step maps from one pass, running products from a Hillis-Steele scan."""
+    m = max(1, _CHUNK // y0.size)
+    y, u = y0, u0
+    for i0 in range(0, n_steps, m):
+        # divergence surfaces as NaN/inf in the state, reported as NumericalError
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _step_maps(dampf, qfn, t1 + h * np.arange(i0, min(i0 + m, n_steps)), h)
+            s = 1
+            while s < len(p[0]):  # p[i] <- p[i] p[i - s]
+                a, b = [e[s:] for e in p], [e[:-s] for e in p]
+                a[0][:], a[1][:], a[2][:], a[3][:] = (
+                    a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                    a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+                s *= 2
+            ys, us = p[0] * y + p[1] * u, p[2] * y + p[3] * u
+            if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(us))):
+                raise NumericalError("non-finite state encountered during integration")
+        y, u = ys[-1], us[-1]
+        yield i0, ys, us
+
+
+def _propagate(dampf, qfn, y0, u0, t1: float, t2: float, n_steps: int):
+    """States (n_steps + 1, k) of `_linear_chunks` on the uniform grid over [t1, t2]."""
+    ys, us = np.empty((2, n_steps + 1, y0.size))
+    ys[0], us[0] = y0, u0
+    for i0, y, u in _linear_chunks(dampf, qfn, y0, u0, t1, (t2 - t1) / n_steps, n_steps):
+        ys[i0 + 1:i0 + 1 + len(y)], us[i0 + 1:i0 + 1 + len(y)] = y, u
+    return ys, us
+
+
 def _check_interval(damping, t1: float, t2: float, n_steps: int):
     if not t1 < t2:
         raise ValueError("need t1 < t2")
@@ -211,29 +269,31 @@ def integrate_flow(pot: Potential, damping: DampingSchedule, x0, v0,
     if v0.size != d or d != pot.dim:
         raise ValueError("x0/v0 dimension mismatch with potential")
     coef = damping.coefficient
+    t = np.linspace(t1, t2, n_steps + 1)
+    if isinstance(pot, QuadraticDiagonal):
+        # linear in x - x*: one 2x2 system per eigendirection
+        xs, vs = _propagate(coef, lambda s: pot.eigenvalues, x0 - pot.xstar, v0, t1, t2, n_steps)
+        xs += pot.xstar
+        return Trajectory(t, xs, vs)
 
     def rhs(t, y):
         return np.concatenate((y[d:], -coef(t) * y[d:] - pot.grad(y[:d])))
 
     ys = _rk4(rhs, np.concatenate((x0, v0)), t1, t2, n_steps)
-    t = np.linspace(t1, t2, n_steps + 1)
     return Trajectory(t, ys[:, :d], ys[:, d:])
 
 
 def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
                             n_steps: int) -> Trajectory:
     """Integrate the first-order flow X' = -grad f(X); v holds X'."""
-    if not t1 < t2 or n_steps < 2:
-        raise ValueError("need t1 < t2 and n_steps >= 2")
+    _check_interval(None, t1, t2, n_steps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     def rhs(t, y):
         return -pot.grad(y)
 
     ys = _rk4(rhs, x0, t1, t2, n_steps)
-    t = np.linspace(t1, t2, n_steps + 1)
-    v = np.array([-pot.grad(row) for row in ys])
-    return Trajectory(t, ys, v)
+    return Trajectory(np.linspace(t1, t2, n_steps + 1), ys, -pot.grad_rows(ys))
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +350,7 @@ def integrate_bregman_flow(params: BregmanParams, pot: Potential, x0, v0,
     """Integrate X'' + (e^a - a') X' + e^(2a+b) grad f(X) = 0 (Euclidean)."""
     if params.psi != "euclidean":
         raise ValueError("only the Euclidean geometry psi is supported")
-    if not t1 < t2 or n_steps < 2:
-        raise ValueError("need t1 < t2 and n_steps >= 2")
+    _check_interval(None, t1, t2, n_steps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     d = x0.size
@@ -305,8 +364,7 @@ def integrate_bregman_flow(params: BregmanParams, pot: Potential, x0, v0,
         return np.concatenate((y[d:], -damp * y[d:] - force * pot.grad(y[:d])))
 
     ys = _rk4(rhs, np.concatenate((x0, v0)), t1, t2, n_steps)
-    t = np.linspace(t1, t2, n_steps + 1)
-    return Trajectory(t, ys[:, :d], ys[:, d:])
+    return Trajectory(np.linspace(t1, t2, n_steps + 1), ys[:, :d], ys[:, d:])
 
 
 @dataclass(frozen=True)
@@ -332,9 +390,8 @@ def el_residual(traj: Trajectory, pot: Potential, damping: DampingSchedule) -> f
     h = traj.step
     acc = (traj.v[2:] - traj.v[:-2]) / (2.0 * h)
     t_in = traj.t[1:-1]
-    grads = np.array([pot.grad(row) for row in traj.x[1:-1]])
     coef = np.asarray(damping.coefficient(t_in), dtype=float)
-    res = acc + coef[:, None] * traj.v[1:-1] + grads
+    res = acc + coef[:, None] * traj.v[1:-1] + pot.grad_rows(traj.x[1:-1])
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 

@@ -6,10 +6,10 @@ the weighted action is
     h'' + d(t) h' + lam h = 0,       d(t) = c/t  or  alpha,
 
 which is solved both in closed form (Bessel functions for c = 3 vanishing
-damping; damped exponentials/sinusoids for constant damping) and by RK4
-shooting with sign-change detection.  A curve is a local minimizer of the
-action iff no interior time is conjugate to t1; the earliest conjugate time
-over the eigendirections decides the verdict.
+damping; damped exponentials/sinusoids for constant damping) and by shooting
+with the chunked RK4 transfer-matrix scan.  A curve is a local minimizer of
+the action iff no interior time is conjugate to t1; the earliest conjugate
+time over the eigendirections decides the verdict.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from .action import LagrangianSpec, second_variation
 from .bessel import bessel_j1, bessel_y1
-from .dynamics import Constant, Trajectory, Vanishing, damping_regime
+from .dynamics import (Constant, Trajectory, Vanishing, _linear_chunks, _propagate,
+                       _step_maps, damping_regime)
 from .errors import NumericalError
 from .perturbations import triangle
 from .potentials import Polynomial1D, QuadraticDiagonal
@@ -198,80 +199,41 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
 # RK4 shooting
 
 
-def _shoot_grid(dampf, qfn, t1: float, t2: float, n_steps: int):
-    """March h(t1)=0, h'(t1)=1 across a uniform grid; returns (t, h, h')."""
-    h_step = (t2 - t1) / n_steps
-    ts = np.linspace(t1, t2, n_steps + 1)
-    t_half = ts[:-1] + 0.5 * h_step
-    dn = np.asarray(dampf(ts), dtype=float)
-    dh = np.asarray(dampf(t_half), dtype=float)
-    qn = np.asarray(qfn(ts), dtype=float)
-    qh = np.asarray(qfn(t_half), dtype=float)
-    ys = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
-    y, u = 0.0, 1.0
-    ys[0], us[0] = y, u
-    hs = h_step
-    for i in range(n_steps):
-        d1, q1 = dn[i], qn[i]
-        d2, q2 = dh[i], qh[i]
-        d3, q3 = dn[i + 1], qn[i + 1]
-        k1y, k1u = u, -d1 * u - q1 * y
-        y2, u2 = y + 0.5 * hs * k1y, u + 0.5 * hs * k1u
-        k2y, k2u = u2, -d2 * u2 - q2 * y2
-        y3, u3 = y + 0.5 * hs * k2y, u + 0.5 * hs * k2u
-        k3y, k3u = u3, -d2 * u3 - q2 * y3
-        y4, u4 = y + hs * k3y, u + hs * k3u
-        k4y, k4u = u4, -d3 * u4 - q3 * y4
-        y = y + hs / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        u = u + hs / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        ys[i + 1], us[i + 1] = y, u
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(us))):
-        raise NumericalError("non-finite state in Jacobi shooting")
-    return ts, ys, us
+def _zeros_from_grid(t1: float, h: float, ys, us, dampf, qfn) -> list:
+    """Zeros of h marched on the nodes t1 + i h: each sign change between two
+    nodes is refined on one partial RK4 step map from the earlier node."""
+    a = np.abs(ys)
+    change = ys[:-1] * ys[1:] < 0.0
+    # at interior node i: no sign change from node i - 1, a local minimum of
+    # |h| far below max |h| over the nodes before it, same sign on both sides
+    mid, before = a[1:-1], np.maximum.accumulate(a)[:-2]
+    if np.any(~change[:-1] & (before > 0.0) & (mid < _DIP_FRACTION * before)
+              & (a[:-2] > mid) & (mid < a[2:]) & (ys[:-2] * ys[2:] > 0.0)):
+        # tangential (double) zero: not expected for these linear flows
+        raise NumericalError("sign-preserving near-zero dip: tangential zero suspected")
+
+    def h_from(i, tq):
+        t0 = t1 + i * h
+        m = _step_maps(dampf, qfn, np.array([t0]), tq - t0)
+        return float(m[0][0, 0] * ys[i] + m[1][0, 0] * us[i])
+
+    return [_refine(lambda tq: h_from(i, tq), t1 + i * h, t1 + (i + 1) * h, ys[i], ys[i + 1])
+            for i in np.flatnonzero(change)]
 
 
-def _h_from_state(t0: float, y0: float, u0: float, tq: float,
-                  dampf, qfn, substeps: int = 16) -> float:
-    """RK4 re-integration from a stored node state to an off-grid query time."""
-    hs = (tq - t0) / substeps
-    y, u, t = y0, u0, t0
-    for _ in range(substeps):
-        d1, q1 = float(dampf(t)), float(qfn(t))
-        d2, q2 = float(dampf(t + 0.5 * hs)), float(qfn(t + 0.5 * hs))
-        d3, q3 = float(dampf(t + hs)), float(qfn(t + hs))
-        k1y, k1u = u, -d1 * u - q1 * y
-        y2, u2 = y + 0.5 * hs * k1y, u + 0.5 * hs * k1u
-        k2y, k2u = u2, -d2 * u2 - q2 * y2
-        y3, u3 = y + 0.5 * hs * k2y, u + 0.5 * hs * k2u
-        k3y, k3u = u3, -d2 * u3 - q2 * y3
-        y4, u4 = y + hs * k3y, u + hs * k3u
-        k4y, k4u = u4, -d3 * u4 - q3 * y4
-        y = y + hs / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        u = u + hs / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        t += hs
-    return y
-
-
-def _zeros_from_grid(ts, ys, us, dampf, qfn) -> list:
-    """Sign-change detection on the marched grid, refined by re-integrating
-    from the node before each sign change."""
-    zeros = []
-    running_max = 0.0
-    n = len(ts) - 1
-    for i in range(1, n + 1):
-        running_max = max(running_max, abs(ys[i - 1]))
-        if ys[i - 1] != 0.0 and ys[i - 1] * ys[i] < 0.0:
-            t0, y0, u0 = ts[i - 1], ys[i - 1], us[i - 1]
-            zeros.append(_refine(
-                lambda tq: _h_from_state(t0, y0, u0, tq, dampf, qfn),
-                t0, ts[i], y0, ys[i]))
-        elif 0 < i < n and running_max > 0.0 and abs(ys[i]) < _DIP_FRACTION * running_max \
-                and abs(ys[i - 1]) > abs(ys[i]) < abs(ys[i + 1]) \
-                and ys[i - 1] * ys[i + 1] > 0.0:
-            # tangential (double) zero: not expected for these linear flows
-            raise NumericalError("sign-preserving near-zero dip: tangential zero suspected")
-    return zeros
+def _shoot(dampf, qfn, t1: float, t2: float, n_steps: int, first_only: bool = False) -> list:
+    """Zeros in (t1, t2) of the Jacobi field with h(t1) = 0, h'(t1) = 1 over
+    n_steps RK4 steps.  With first_only the march stops after the first chunk
+    that holds a sign change, so its cost follows the first zero, not t2."""
+    h = (t2 - t1) / n_steps
+    ys, us = [np.zeros(1)], [np.ones(1)]
+    for _, y, u in _linear_chunks(dampf, qfn, ys[0], us[0], t1, h, n_steps):
+        ys.append(y[:, 0])
+        us.append(u[:, 0])
+        if first_only and np.any(ys[-1] * np.append(ys[-2][-1], ys[-1][:-1]) < 0.0):
+            break
+    zeros = _zeros_from_grid(t1, h, np.concatenate(ys), np.concatenate(us), dampf, qfn)
+    return [z for z in zeros if t1 < z < t2]
 
 
 def jacobi_solution(spec: LagrangianSpec, eigen_lambda: float, t1: float,
@@ -282,11 +244,9 @@ def jacobi_solution(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     is linear), so a fan of initial slopes is just this solution rescaled.
     """
     lam = float(eigen_lambda)
-
-    def qfn(t):
-        return lam * np.ones_like(np.asarray(t, dtype=float))
-
-    return _shoot_grid(spec.damping.coefficient, qfn, t1, t2, n_steps)
+    ys, us = _propagate(spec.damping.coefficient, lambda t: lam, np.zeros(1), np.ones(1),
+                        t1, t2, n_steps)
+    return np.linspace(t1, t2, n_steps + 1), ys[:, 0], us[:, 0]
 
 
 def conjugate_points_shooting(spec: LagrangianSpec, eigen_lambda: float,
@@ -298,14 +258,7 @@ def conjugate_points_shooting(spec: LagrangianSpec, eigen_lambda: float,
     if isinstance(spec.damping, Vanishing) and t1 <= 0:
         raise ValueError("need t1 > 0 for vanishing damping")
     lam = float(eigen_lambda)
-    dampf = spec.damping.coefficient
-
-    def qfn(t):
-        return lam * np.ones_like(np.asarray(t, dtype=float))
-
-    ts, ys, us = _shoot_grid(dampf, qfn, t1, t2, n_steps)
-    zeros = [z for z in _zeros_from_grid(ts, ys, us, dampf, lambda t: lam)
-             if t1 < z < t2]
+    zeros = _shoot(spec.damping.coefficient, lambda t: lam, t1, t2, n_steps)
     return ConjugateReport(lam, t1, t2, tuple(zeros), "shooting")
 
 
@@ -327,18 +280,9 @@ def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
         raise ValueError("window outside the base trajectory")
     if isinstance(damping, Vanishing) and t1 <= 0:
         raise ValueError("need t1 > 0 for vanishing damping")
-
-    def qfn(t):
-        xs, _ = base.sample(np.clip(np.asarray(t, dtype=float), base.t1, base.t2))
-        return np.array([pot.second_deriv(x) for x in xs[:, 0]])
-
-    def qfn_scalar(t):
-        return float(qfn(np.array([t]))[0])
-
-    dampf = damping.coefficient
-    ts, ys, us = _shoot_grid(dampf, qfn, t1, t2, n_steps)
-    zeros = [z for z in _zeros_from_grid(ts, ys, us, dampf, qfn_scalar)
-             if t1 < z < t2]
+    zeros = _shoot(damping.coefficient,
+                   lambda t: pot.second_deriv(base.sample(np.clip(t, base.t1, base.t2))[0]),
+                   t1, t2, n_steps)
     return ConjugateReport(None, t1, t2, tuple(zeros), "shooting")
 
 
@@ -354,7 +298,7 @@ def first_conjugate_time(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     otherwise t1 + 2 pi / sqrt(4 lam - alpha^2).  Vanishing damping (c = 3)
     searches the Bessel cross-product condition up to t1 + 50/sqrt(lam)
     (a safety cap; the asymptotic oscillation guarantees a root well before
-    it); other c values fall back to shooting over the same span.
+    it); other c values shoot over the same span, up to the first zero.
     """
     lam = float(eigen_lambda)
     if lam <= 0:
@@ -372,10 +316,9 @@ def first_conjugate_time(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     if damping.c == 3.0:
         roots = _cross_product_roots(lam, t1, cap, max_roots=1)
         return roots[0] if roots else None
-    span = cap - t1
-    n = max(4000, int(400 * span * math.sqrt(lam)))
-    report = conjugate_points_shooting(spec, lam, t1, cap, n_steps=n)
-    return report.conjugate_times[0] if report.conjugate_times else None
+    n = max(4000, int(400 * (cap - t1) * math.sqrt(lam)))
+    zeros = _shoot(damping.coefficient, lambda t: lam, t1, cap, n, first_only=True)
+    return zeros[0] if zeros else None
 
 
 def classify(pot: QuadraticDiagonal, damping, t1: float, t2: float) -> Classification:

@@ -112,9 +112,8 @@ class Polynomial1D:
         d = np.asarray(xs, dtype=float) - self.xstar
         return self.a * self.p * d ** (self.p - 1)
 
-    def second_deriv(self, x: float) -> float:
-        if self.p == 2:
-            return 2.0 * self.a
+    def second_deriv(self, x):
+        """f''(x); elementwise on an array of points."""
         return self.a * self.p * (self.p - 1) * (x - self.xstar) ** (self.p - 2)
 
     def curvature_bounds(self, interval=None) -> tuple[float, float]:

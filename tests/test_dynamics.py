@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vnag import (BregmanParams, Constant, QuadraticDiagonal, TimeFunction,
-                  Trajectory, Vanishing, check_ideal_scaling,
+from vnag import (BregmanParams, Constant, Polynomial1D, QuadraticDiagonal,
+                  TimeFunction, Trajectory, Vanishing, check_ideal_scaling,
                   constant_damping_solution, damping_regime, el_residual,
                   integrate_bregman_flow, integrate_flow,
                   integrate_gradient_flow, nesterov_recovering_params)
+from vnag import dynamics
 
 
 def test_critical_damping_closed_form():
@@ -209,3 +210,33 @@ def test_sample_matches_nodes():
     xs, vs = traj.sample(traj.t[::7])
     np.testing.assert_allclose(xs[:, 0], traj.x[::7, 0], atol=1e-14)
     np.testing.assert_allclose(vs[:, 0], traj.v[::7, 0], atol=1e-12)
+
+
+def test_propagator_matches_sequential_rk4():
+    # QuadraticDiagonal flows take the transfer-matrix scan; the same
+    # quadratic written as Polynomial1D(lam/2, 2) takes the sequential
+    # stepper.  Both are RK4 on the same grid, so they agree to rounding.
+    for lam, damping, t1, t2, n in ((1.0, Vanishing(3.0), 0.5, 12.0, 3000),
+                                    (0.04, Constant(0.15), 0.01, 50.0, 2500),
+                                    (7.0, Constant(6.0), 0.0, 4.0, 1200),
+                                    (2.5, Vanishing(2.5), 1.0, 9.0, 5000)):
+        x0, v0 = [1.3], [-0.4]
+        tr = integrate_flow(QuadraticDiagonal([lam], xstar=[0.25]), damping, x0, v0, t1, t2, n)
+        ref = integrate_flow(Polynomial1D(lam / 2.0, 2, 0.25), damping, x0, v0, t1, t2, n)
+        assert np.max(np.abs(tr.x - ref.x)) <= 1e-12
+        assert np.max(np.abs(tr.v - ref.v)) <= 1e-12
+
+
+def test_propagator_chunk_seams(monkeypatch):
+    # chunks of 7 steps x directions put a seam every few steps; the carried
+    # state must give the same trajectory as the default chunking
+    pot = QuadraticDiagonal([0.3, 2.0, 9.0], xstar=[1.0, 0.0, -1.0])
+    cases = [(Vanishing(3.0), 0.2, 10.0, 4001), (Constant(0.7), 0.0, 20.0, 997)]
+    runs = [integrate_flow(pot, d, [2.0, 1.0, 0.5], [0.0, -1.0, 0.3], t1, t2, n)
+            for d, t1, t2, n in cases]
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    for (d, t1, t2, n), want in zip(cases, runs):
+        got = integrate_flow(pot, d, [2.0, 1.0, 0.5], [0.0, -1.0, 0.3], t1, t2, n)
+        for a, b in ((got.x, want.x), (got.v, want.v)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   jacobi_closed_constant, jacobi_closed_vanishing,
                   saddle_witness, second_variation, sinusoid_d2j_closed,
                   triangle, triangle_d2j_closed)
+from vnag import NumericalError, dynamics, jacobi_solution
+from vnag.jacobi import _zeros_from_grid
 
 
 def _vspec(beta=1.0):
@@ -229,6 +232,72 @@ def test_time_scaling_shooting(lam, t1, k):
     # the root refinement does not
     tau, scaled, s = _check_time_scaling(2.5, lam, t1, k)
     assert abs(scaled - s * tau) <= 1e-10 * s * tau
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@example(beta=1.0, t1=1e4)
+@example(beta=0.05, t1=5e4)
+@given(beta=st.floats(min_value=0.05, max_value=20.0),
+       t1=st.one_of(st.floats(min_value=0.2, max_value=50.0),
+                    st.floats(min_value=1e4, max_value=1e5)))
+def test_shooting_matches_bessel_random(beta, t1):
+    # shooting and the Bessel cross-product condition are independent
+    # routes to the same conjugate times for 3/t damping; about four roots
+    # lie in a window 12/sqrt(beta) long
+    t2 = t1 + 12.0 / math.sqrt(beta)
+    bes = conjugate_points_bessel(beta, t1, t2).conjugate_times
+    sho = conjugate_points_shooting(_vspec(beta), beta, t1, t2,
+                                    n_steps=20000).conjugate_times
+    assert len(bes) == len(sho) >= 3
+    # compared in s = sqrt(beta) t, where both problems have unit frequency
+    np.testing.assert_allclose(math.sqrt(beta) * np.array(sho),
+                               math.sqrt(beta) * np.array(bes), rtol=0, atol=1e-8)
+
+
+def test_first_conjugate_shooting_stops_at_first_root():
+    # c != 3 marches only until the first sign change, so neither cost nor
+    # memory grows with t2 once the first conjugate time is found
+    pot = QuadraticDiagonal([1.0])
+    short = classify(pot, Vanishing(2.5), 1.0, 20.0).first_conjugate_times[0]
+    tracemalloc.start()
+    try:
+        long = classify(pot, Vanishing(2.5), 1.0, 1e4).first_conjugate_times[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert abs(long - short) <= 1e-9
+    assert 4.0 < short < 4.5
+
+
+def test_tangential_dip_raises():
+    # a sign-preserving dip far below the running max of |h| is a suspected
+    # double zero that no sign change would reveal
+    us = np.ones(5)
+    with pytest.raises(NumericalError):
+        _zeros_from_grid(0.0, 0.1, np.array([0.0, 1.0, 1e-12, 1.0, 2.0]), us, None, None)
+    assert _zeros_from_grid(0.0, 0.1, np.array([0.0, 1.0, 1e-3, 1.0, 2.0]), us, None, None) == []
+
+
+def test_shooting_chunk_seams(monkeypatch):
+    # seams every 7 steps must not move the marched field (to 1e-13
+    # relative) or its zeros (to the 1e-12 stopping width of the refinement)
+    spec = _vspec(1.7)
+    roots = conjugate_points_shooting(spec, 1.7, 0.8, 14.0).conjugate_times
+    _, h, hp = jacobi_solution(spec, 1.7, 0.8, 14.0)
+    base = integrate_flow(Polynomial1D(1.0, 4, 0.0), Vanishing(3.0), [1.5], [0.0], 0.2, 8.2, 3000)
+    along = conjugate_points_along(base, Polynomial1D(1.0, 4, 0.0), Vanishing(3.0),
+                                   0.3, 8.0, n_steps=4000).conjugate_times
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    np.testing.assert_allclose(conjugate_points_shooting(spec, 1.7, 0.8, 14.0).conjugate_times,
+                               roots, rtol=0, atol=1e-12)
+    _, h7, hp7 = jacobi_solution(spec, 1.7, 0.8, 14.0)
+    assert np.max(np.abs(h7 - h)) <= 1e-13 * np.max(np.abs(h))
+    assert np.max(np.abs(hp7 - hp)) <= 1e-13 * np.max(np.abs(hp))
+    assert len(along) >= 1
+    np.testing.assert_allclose(
+        conjugate_points_along(base, Polynomial1D(1.0, 4, 0.0), Vanishing(3.0),
+                               0.3, 8.0, n_steps=4000).conjugate_times, along, rtol=0, atol=1e-12)
 
 
 def test_classify_overdamped_minimizer():
