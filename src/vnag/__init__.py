@@ -13,9 +13,8 @@ from .bessel import bessel_j1, bessel_y1
 from .dynamics import (BregmanParams, Constant, DampingSchedule,
                        IdealScalingReport, TimeFunction, Trajectory, Vanishing,
                        check_ideal_scaling, constant_damping_solution,
-                       damping_regime, el_residual, integrate_bregman_flow,
-                       integrate_flow, integrate_gradient_flow,
-                       nesterov_recovering_params)
+                       damping_regime, el_residual, integrate_flow,
+                       integrate_gradient_flow, nesterov_recovering_params)
 from .errors import ConfigError, NumericalError
 from .jacobi import (Classification, ConjugateReport, classify,
                      conjugate_points_along, conjugate_points_bessel,
@@ -38,8 +37,8 @@ __all__ = [
     "classify", "conjugate_points_along", "conjugate_points_bessel",
     "conjugate_points_shooting", "constant_damping_solution",
     "damping_regime", "el_residual", "epsilon_star", "first_conjugate_time",
-    "first_variation", "fourier_sine", "integrate_bregman_flow",
-    "integrate_flow", "integrate_gradient_flow", "jacobi_closed_constant",
+    "first_variation", "fourier_sine", "integrate_flow",
+    "integrate_gradient_flow", "jacobi_closed_constant",
     "jacobi_closed_vanishing", "jacobi_solution", "lagrangian",
     "nesterov_recovering_params", "perturb_curve", "pq_coefficients",
     "saddle_witness", "scale", "second_variation", "second_variation_report",

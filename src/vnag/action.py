@@ -215,27 +215,3 @@ def second_variation_report(spec: LagrangianSpec, t1: float, t2: float, h,
         "spec": spec.descriptor(),
     }
 
-
-def _l_cross(spec: LagrangianSpec, nodes: np.ndarray) -> np.ndarray:
-    # L_YY' vanishes identically for both weight families; kept as an
-    # explicit term so the two second-variation forms are separate code paths.
-    return np.zeros(len(nodes))
-
-
-def second_variation_taylor(spec: LagrangianSpec, t1: float, t2: float, h,
-                            n_steps: int = 4096) -> float:
-    """Same quadratic form, pre-integration-by-parts:
-    0.5 int (L_YY h^2 + 2 L_YY' h h' + L_Y'Y' h'^2) dt."""
-    spec._check_time(t1)
-    _check_admissible(h, t1, t2)
-    comp = h.component
-    total = 0.0
-    for nodes in _span_grids(t1, t2, h.interior_knots(), n_steps):
-        w = np.asarray(spec.weight(nodes), dtype=float)
-        l_yy = _q_values(spec, nodes, comp, None)  # = -lam w = L_YY here
-        cross = _l_cross(spec, nodes)
-        hv = h.value(nodes)
-        hd = h.deriv(nodes)
-        integrand = 0.5 * (l_yy * hv * hv + 2.0 * cross * hv * hd + w * hd * hd)
-        total += _simpson(integrand, float(nodes[1] - nodes[0]))
-    return float(total)

@@ -1,10 +1,13 @@
 """First-order Bessel functions J1 and Y1, dependency-free, in float64.
 
-Three regions:
+Four regions:
 
-* x < 4.5: the defining power series (DLMF 10.8.1), J1 and Y1 summed in one
-  loop.  Here the terms stay below ~10, so the cancellation costs at most a
-  digit of the absolute accuracy.
+* x < 1e-10: the leading terms J1 = x/2 and Y1 = -2/(pi x) (DLMF 10.7.3,
+  10.7.4); the next terms are below 1e-19 of these, and the series would
+  divide by an underflowing x * x.  Where Y1 overflows, NumericalError.
+* 1e-10 <= x < 4.5: the defining power series (DLMF 10.8.1), J1 and Y1
+  summed in one loop.  Here the terms stay below ~10, so the cancellation
+  costs at most a digit of the absolute accuracy.
 * 4.5 <= x < 20: a Taylor expansion about the nearest integer anchor
   x0 = 5..20 (|h| <= 0.5, 20 terms).  The coefficients come from the Bessel
   equation x^2 f'' + x f' + (x^2 - 1) f = 0 (DLMF 10.2.1) as a four-term
@@ -25,6 +28,9 @@ from __future__ import annotations
 
 import math
 
+from .errors import NumericalError
+
+_TINY = 1e-10  # below it J1 and Y1 are their leading terms to float64
 _EULER_GAMMA = 0.5772156649015329
 _SERIES_MAX = 4.5
 _SWITCH = 20.0
@@ -39,12 +45,12 @@ def _series(x: float) -> tuple[float, float, float, float]:
 
     DLMF 10.8.1 specialized to order one:
     Y1(x) = (2/pi) ln(x/2) J1(x) - 2/(pi x)
-            - (1/pi) sum_k (psi(k+1)+psi(k+2)) (-1)^k (x/2)^(2k+1) / (k!(k+1)!)
+            - (1/pi) sum_k (digamma(k+1)+digamma(k+2)) (-1)^k (x/2)^(2k+1) / (k!(k+1)!)
     """
     half = 0.5 * x
     q = -half * half
     term = half  # (-1)^k (x/2)^(2k+1) / (k! (k+1)!); its x-derivative is (2k+1) term / x
-    g = 1.0 - 2.0 * _EULER_GAMMA  # psi(k+1) + psi(k+2) = H_k + H_{k+1} - 2 gamma
+    g = 1.0 - 2.0 * _EULER_GAMMA  # digamma(k+1) + digamma(k+2) = H_k + H_{k+1} - 2 gamma
     j = dj = term
     s = ds = term * g
     for k in range(1, 40):
@@ -147,8 +153,8 @@ def bessel_j1(x: float) -> float:
     x = float(x)
     if x < 0:
         raise ValueError("bessel_j1 requires x >= 0")
-    if x == 0.0:
-        return 0.0
+    if x < _TINY:
+        return 0.5 * x
     if x < _SERIES_MAX:
         return _series(x)[0]
     if x < _SWITCH:
@@ -161,6 +167,11 @@ def bessel_y1(x: float) -> float:
     x = float(x)
     if x <= 0:
         raise ValueError("bessel_y1 requires x > 0")
+    if x < _TINY:
+        y = -(2.0 / math.pi) / x
+        if math.isinf(y):
+            raise NumericalError(f"bessel_y1({x!r}) overflows float64")
+        return y
     if x < _SERIES_MAX:
         return _series(x)[1]
     if x < _SWITCH:

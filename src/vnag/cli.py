@@ -54,9 +54,12 @@ def _need(d: dict, key: str, where: str):
 
 def _as_float(v, where: str) -> float:
     try:
-        return float(v)
+        x = float(v)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} must be a number, got {v!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {v!r}")
+    return x
 
 
 def _as_int(v, where: str) -> int:
@@ -72,6 +75,8 @@ def _as_vector(v, where: str) -> np.ndarray:
         raise ConfigError(f"{where} must be a numeric array") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{where} must be a non-empty flat array")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where} must be finite")
     return arr
 
 

@@ -2,18 +2,20 @@
 
 Integrates
 
-    X'' + d(t) X' + grad f(X) = 0
+    X'' + d(t) X' + s(t) grad f(X) = 0
 
-with vanishing damping d(t) = c/t or constant damping d(t) = alpha, plus
-the generalized exponential-schedule dynamics
+where the schedule gives the damping d and the force factor s: vanishing
+damping d(t) = c/t and constant damping d(t) = alpha, both with s = 1, and
+the Euclidean Bregman-Lagrangian schedule (a, b, g) with
 
-    X'' + (e^a(t) - a'(t)) X' + e^(2 a(t) + b(t)) grad f(X) = 0
+    d(t) = e^a(t) - a'(t),    s(t) = e^(2 a(t) + b(t)).
 
-for Euclidean geometry.  All integration is classical fixed-step RK4 in
-phase space (X, V); fixed grids are what the quadrature and conjugate-point
-machinery downstream require.  Linear systems (quadratic flows in x - x*, and
-Jacobi fields) chain per-direction 2x2 RK4 step maps by a chunked prefix
-scan; nonlinear flows step sequentially.
+`integrate_flow` is the one second-order integrator for all three: classical
+fixed-step RK4 in phase space (X, V); fixed grids are what the quadrature and
+conjugate-point machinery downstream require.  Linear systems (quadratic
+flows in x - x*, and Jacobi fields) chain per-direction 2x2 RK4 step maps by
+a chunked prefix scan; one-dimensional nonlinear flows, and the first-order
+gradient flow on them, step in Python floats.
 """
 from __future__ import annotations
 
@@ -39,6 +41,9 @@ class Vanishing:
     def coefficient(self, t):
         return self.c / t
 
+    def force(self, t):
+        return 1.0
+
     def weight(self, t):
         """Lagrangian time weight t^c."""
         return np.power(t, self.c)
@@ -54,11 +59,14 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
 
     def coefficient(self, t):
         return self.alpha if np.isscalar(t) else np.full_like(np.asarray(t, float), self.alpha)
+
+    def force(self, t):
+        return 1.0
 
     def weight(self, t):
         """Lagrangian time weight exp(alpha * t); an array overflows to inf."""
@@ -175,27 +183,6 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _rk4(rhs: Callable, y0: np.ndarray, t1: float, t2: float, n_steps: int) -> np.ndarray:
-    """Classical RK4 on a first-order system; returns (n_steps+1, len(y0))."""
-    h = (t2 - t1) / n_steps
-    out = np.empty((n_steps + 1, len(y0)))
-    y = np.array(y0, dtype=float)
-    out[0] = y
-    # divergence surfaces as NaN/inf in the state, reported as NumericalError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = t1 + i * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i + 1] = y
-            if not np.all(np.isfinite(y)):
-                raise NumericalError("non-finite state encountered during integration")
-    return out
-
-
 def _step_maps(dampf, qfn, t, h):
     """RK4 maps M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = [[0, 1], [-q, -d]] y
     over [t, t + h], one per start time in t (m,) and direction, as four
@@ -259,41 +246,74 @@ def _check_interval(damping, t1: float, t2: float, n_steps: int):
         raise ValueError("vanishing damping requires t1 > 0")
 
 
-def integrate_flow(pot: Potential, damping: DampingSchedule, x0, v0,
+def _march(rhs: Callable, x: float, v: float, t1: float, h: float, n_steps: int):
+    """Classical RK4 on one scalar state (x, v) with (x', v') = rhs(t, x, v),
+    in Python floats; returns x and v, (n_steps + 1,) each, on the grid."""
+    xs, vs = [x], [v]
+    try:
+        for i in range(n_steps):
+            t = t1 + i * h
+            a1, b1 = rhs(t, x, v)
+            a2, b2 = rhs(t + 0.5 * h, x + 0.5 * h * a1, v + 0.5 * h * b1)
+            a3, b3 = rhs(t + 0.5 * h, x + 0.5 * h * a2, v + 0.5 * h * b2)
+            a4, b4 = rhs(t + h, x + h * a3, v + h * b3)
+            x = x + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            v = v + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            xs.append(x)
+            vs.append(v)
+    except OverflowError as exc:  # float ** and math.exp raise where numpy gives inf
+        raise NumericalError("non-finite state encountered during integration") from exc
+    xs, vs = np.array(xs), np.array(vs)
+    # divergence that stays below OverflowError surfaces as NaN/inf in the state
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        raise NumericalError("non-finite state encountered during integration")
+    return xs, vs
+
+
+def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0, v0,
                    t1: float, t2: float, n_steps: int) -> Trajectory:
-    """Integrate X'' + d(t) X' + grad f(X) = 0 from (x0, v0)."""
+    """Integrate X'' + d(t) X' + s(t) grad f(X) = 0 from (x0, v0), with
+    d = damping.coefficient and s = damping.force."""
     _check_interval(damping, t1, t2, n_steps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    d = x0.size
-    if v0.size != d or d != pot.dim:
+    if v0.size != x0.size or x0.size != pot.dim:
         raise ValueError("x0/v0 dimension mismatch with potential")
-    coef = damping.coefficient
+    coef, force = damping.coefficient, damping.force
     t = np.linspace(t1, t2, n_steps + 1)
     if isinstance(pot, QuadraticDiagonal):
         # linear in x - x*: one 2x2 system per eigendirection
-        xs, vs = _propagate(coef, lambda s: pot.eigenvalues, x0 - pot.xstar, v0, t1, t2, n_steps)
+        xs, vs = _propagate(coef, lambda s: np.multiply.outer(force(s), pot.eigenvalues),
+                            x0 - pot.xstar, v0, t1, t2, n_steps)
         xs += pot.xstar
         return Trajectory(t, xs, vs)
-
-    def rhs(t, y):
-        return np.concatenate((y[d:], -coef(t) * y[d:] - pot.grad(y[:d])))
-
-    ys = _rk4(rhs, np.concatenate((x0, v0)), t1, t2, n_steps)
-    return Trajectory(t, ys[:, :d], ys[:, d:])
+    grad = pot.grad_rows
+    xs, vs = _march(lambda s, x, v: (v, -coef(s) * v - force(s) * grad(x)),
+                    float(x0[0]), float(v0[0]), t1, (t2 - t1) / n_steps, n_steps)
+    return Trajectory(t, xs, vs)
 
 
 def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
                             n_steps: int) -> Trajectory:
-    """Integrate the first-order flow X' = -grad f(X); v holds X'."""
+    """Integrate the first-order flow X' = -grad f(X) by RK4; v holds X'."""
     _check_interval(None, t1, t2, n_steps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def rhs(t, y):
-        return -pot.grad(y)
-
-    ys = _rk4(rhs, x0, t1, t2, n_steps)
-    return Trajectory(np.linspace(t1, t2, n_steps + 1), ys, -pot.grad_rows(ys))
+    if x0.size != pot.dim:
+        raise ValueError("x0 dimension mismatch with potential")
+    h = (t2 - t1) / n_steps
+    if isinstance(pot, QuadraticDiagonal):
+        # one RK4 step scales x - x* by R(-z), z = h lam: the quartic Taylor
+        # polynomial of exp(-z)
+        z = h * pot.eigenvalues
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = 1.0 - z + z ** 2 / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
+            xs = pot.xstar + (x0 - pot.xstar) * r ** np.arange(n_steps + 1)[:, None]
+        if not np.all(np.isfinite(xs)):
+            raise NumericalError("non-finite state encountered during integration")
+    else:
+        grad = pot.grad_rows
+        xs, _ = _march(lambda s, x, v: (-grad(x), 0.0), float(x0[0]), 0.0, t1, h, n_steps)
+    return Trajectory(np.linspace(t1, t2, n_steps + 1), xs, -pot.grad_rows(xs))
 
 
 # --------------------------------------------------------------------------
@@ -318,16 +338,27 @@ class TimeFunction:
 
 @dataclass(frozen=True)
 class BregmanParams:
-    """Schedule triple (a, b, g) for the generalized Lagrangian dynamics.
+    """Schedule triple (a, b, g) of the Euclidean Bregman Lagrangian.
 
-    Only the Euclidean geometry is supported; `psi` is an interface stub and
-    anything other than "euclidean" is rejected at integration time.
+    As a schedule for `integrate_flow` it gives the damping e^a - a' and the
+    force factor e^(2a+b); g enters only the ideal-scaling conditions.  The
+    TimeFunctions are evaluated point by point.
     """
 
     alpha: TimeFunction
     beta: TimeFunction
     gamma: TimeFunction
-    psi: str = "euclidean"
+
+    def coefficient(self, t):
+        return _pointwise(lambda s: math.exp(self.alpha.value(s)) - self.alpha.deriv(s), t)
+
+    def force(self, t):
+        return _pointwise(lambda s: math.exp(2.0 * self.alpha.value(s) + self.beta.value(s)), t)
+
+
+def _pointwise(fn: Callable[[float], float], t):
+    """fn at a scalar t, or an array of fn over an array of times."""
+    return fn(t) if np.ndim(t) == 0 else np.array([fn(s) for s in t])
 
 
 def nesterov_recovering_params() -> BregmanParams:
@@ -345,28 +376,6 @@ def nesterov_recovering_params() -> BregmanParams:
     )
 
 
-def integrate_bregman_flow(params: BregmanParams, pot: Potential, x0, v0,
-                           t1: float, t2: float, n_steps: int) -> Trajectory:
-    """Integrate X'' + (e^a - a') X' + e^(2a+b) grad f(X) = 0 (Euclidean)."""
-    if params.psi != "euclidean":
-        raise ValueError("only the Euclidean geometry psi is supported")
-    _check_interval(None, t1, t2, n_steps)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    d = x0.size
-    if v0.size != d or d != pot.dim:
-        raise ValueError("x0/v0 dimension mismatch with potential")
-
-    def rhs(t, y):
-        a = params.alpha.value(t)
-        damp = math.exp(a) - params.alpha.deriv(t)
-        force = math.exp(2.0 * a + params.beta.value(t))
-        return np.concatenate((y[d:], -damp * y[d:] - force * pot.grad(y[:d])))
-
-    ys = _rk4(rhs, np.concatenate((x0, v0)), t1, t2, n_steps)
-    return Trajectory(np.linspace(t1, t2, n_steps + 1), ys[:, :d], ys[:, d:])
-
-
 @dataclass(frozen=True)
 class IdealScalingReport:
     holds: bool
@@ -382,16 +391,18 @@ def check_ideal_scaling(params: BregmanParams, t_grid, tol: float = 1e-9) -> Ide
     return IdealScalingReport(holds=bool(worst <= tol), max_violation=float(max(worst, 0.0)))
 
 
-def el_residual(traj: Trajectory, pot: Potential, damping: DampingSchedule) -> float:
-    """Max interior norm of X'' + d(t) X' + grad f(X), with X'' a centered
-    difference of the stored velocities."""
+def el_residual(traj: Trajectory, pot: Potential,
+                damping: DampingSchedule | BregmanParams) -> float:
+    """Max interior norm of X'' + d(t) X' + s(t) grad f(X), with X'' a
+    centered difference of the stored velocities."""
     if len(traj.t) < 4:
         raise ValueError("need at least 4 grid points")
     h = traj.step
     acc = (traj.v[2:] - traj.v[:-2]) / (2.0 * h)
     t_in = traj.t[1:-1]
     coef = np.asarray(damping.coefficient(t_in), dtype=float)
-    res = acc + coef[:, None] * traj.v[1:-1] + pot.grad_rows(traj.x[1:-1])
+    force = np.reshape(damping.force(t_in), (-1, 1))
+    res = acc + coef[:, None] * traj.v[1:-1] + force * pot.grad_rows(traj.x[1:-1])
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 

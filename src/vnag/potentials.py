@@ -7,6 +7,7 @@ vanishes at the optimum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,14 @@ class QuadraticDiagonal:
         lam = _frozen_array(self.eigenvalues)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d sequence")
-        if np.any(lam <= 0):
-            raise ValueError("all eigenvalues must be positive")
+        if not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("all eigenvalues must be positive and finite")
         xs = np.zeros(lam.size) if self.xstar is None else np.asarray(self.xstar, dtype=float)
         xs = _frozen_array(xs)
         if xs.shape != lam.shape:
             raise ValueError("xstar must match the eigenvalue vector length")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("xstar must be finite")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "xstar", xs)
 
@@ -56,9 +59,6 @@ class QuadraticDiagonal:
         """Vectorized value over an (n, d) array of points."""
         d = np.asarray(xs, dtype=float) - self.xstar
         return 0.5 * (d * d) @ self.eigenvalues
-
-    def grad(self, x) -> np.ndarray:
-        return self.eigenvalues * (self._check(x) - self.xstar)
 
     def grad_rows(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized gradient over an (n, d) array of points."""
@@ -82,8 +82,8 @@ class Polynomial1D:
     xstar: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("coefficient a must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("coefficient a must be positive and finite")
         if self.p < 2 or self.p % 2 != 0:
             # odd degrees are nonconvex on one side of xstar
             raise ValueError("degree p must be an even integer >= 2")
@@ -102,15 +102,9 @@ class Polynomial1D:
         d = np.asarray(xs, dtype=float).reshape(-1) - self.xstar
         return self.a * d ** self.p
 
-    def grad(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (1,):
-            raise ValueError("Polynomial1D is one-dimensional")
-        return np.array([self.a * self.p * (x[0] - self.xstar) ** (self.p - 1)])
-
-    def grad_rows(self, xs: np.ndarray) -> np.ndarray:
-        d = np.asarray(xs, dtype=float) - self.xstar
-        return self.a * self.p * d ** (self.p - 1)
+    def grad_rows(self, xs):
+        """f'(x); elementwise on a float or an array of points."""
+        return self.a * self.p * (xs - self.xstar) ** (self.p - 1)
 
     def second_deriv(self, x):
         """f''(x); elementwise on an array of points."""

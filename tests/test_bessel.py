@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vnag import bessel_j1, bessel_y1
+from vnag import NumericalError, bessel_j1, bessel_y1
 from vnag.bessel import _SWITCH
 
 mp.mp.dps = 30
@@ -26,6 +26,18 @@ def test_domain_errors():
         bessel_y1(0.0)
     with pytest.raises(ValueError):
         bessel_y1(-1.0)
+
+
+def test_tiny_arguments():
+    # below 1e-10 the leading terms x/2 and -2/(pi x) stand in for the
+    # series, whose x * x underflows; checked on both sides of the seam
+    for x in (1e-300, 1e-200, 9e-11, 1.1e-10):
+        oj = float(mp.besselj(1, x))
+        oy = float(mp.bessely(1, x))
+        assert abs(bessel_j1(x) - oj) <= 4e-16 * abs(oj)
+        assert abs(bessel_y1(x) - oy) <= 4e-16 * abs(oy)
+    with pytest.raises(NumericalError):
+        bessel_y1(5e-324)  # |Y1| ~ 1.3e323 overflows
 
 
 def test_against_high_precision_oracle():

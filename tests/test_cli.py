@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from vnag.cli import main
 
 
@@ -125,6 +127,34 @@ def test_non_finite_report_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["second-variation", "--config", cfg, "--out", str(out)]) == 3
     assert not list(out.glob("*"))
+
+
+_CLASSIFY = {"potential": {"kind": "quadratic", "eigenvalues": [1.0]},
+             "damping": {"kind": "vanishing", "c": 3.0},
+             "interval": {"t1": 1.0, "t2": 5.0}}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("potential", {"kind": "quadratic", "eigenvalues": ["nan"]}),
+    ("damping", {"kind": "constant", "alpha": "nan"}),
+    ("interval", {"t1": 1.0, "t2": "inf"}),
+], ids=["nan_eigenvalue", "nan_alpha", "infinite_t2"])
+def test_non_finite_input_rejected(tmp_path, field, value):
+    cfg = _write_cfg(tmp_path / "cfg.json", {**_CLASSIFY, field: value})
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
+    assert not list(out.glob("*"))
+
+
+def test_classify_tiny_start_time(tmp_path):
+    # as t1 -> 0 the first conjugate time tends to the first zero of J1
+    cfg = _write_cfg(tmp_path / "cfg.json",
+                     {**_CLASSIFY, "interval": {"t1": 1e-300, "t2": 5.0}})
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    cls = _report(out)["results"]["records"][0]["classification"]
+    assert cls["verdict"] == "saddle"
+    assert abs(cls["first_conjugate_times"][0] - 3.8317059702075125) <= 1e-9
 
 
 def test_second_variation_sweep(tmp_path):

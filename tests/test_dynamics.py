@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from vnag import (BregmanParams, Constant, Polynomial1D, QuadraticDiagonal,
-                  TimeFunction, Trajectory, Vanishing, check_ideal_scaling,
-                  constant_damping_solution, damping_regime, el_residual,
-                  integrate_bregman_flow, integrate_flow,
-                  integrate_gradient_flow, nesterov_recovering_params)
+from vnag import (BregmanParams, Constant, NumericalError, Polynomial1D,
+                  QuadraticDiagonal, TimeFunction, Trajectory, Vanishing,
+                  check_ideal_scaling, constant_damping_solution, damping_regime,
+                  el_residual, integrate_flow, integrate_gradient_flow,
+                  nesterov_recovering_params)
 from vnag import dynamics
 
 
@@ -85,12 +86,12 @@ def test_el_residual():
 
 
 def test_bregman_recovers_vanishing_flow():
-    pot = QuadraticDiagonal([1.0])
-    tr1 = integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 0.1, 10.0, 4000)
-    tr2 = integrate_bregman_flow(nesterov_recovering_params(), pot,
-                                 [1.0], [0.0], 0.1, 10.0, 4000)
-    assert np.max(np.abs(tr1.x - tr2.x)) <= 1e-10
-    assert np.max(np.abs(tr1.v - tr2.v)) <= 1e-10
+    # the quadratic takes the propagator, x^4 the scalar stepper
+    for pot in (QuadraticDiagonal([1.0]), Polynomial1D(1.0, 4)):
+        tr1 = integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 0.1, 10.0, 4000)
+        tr2 = integrate_flow(pot, nesterov_recovering_params(), [1.0], [0.0], 0.1, 10.0, 4000)
+        assert np.max(np.abs(tr1.x - tr2.x)) <= 1e-10
+        assert np.max(np.abs(tr1.v - tr2.v)) <= 1e-10
 
 
 def test_bregman_with_unshifted_beta_scales_the_force():
@@ -100,25 +101,23 @@ def test_bregman_with_unshifted_beta_scales_the_force():
         beta=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
         gamma=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
     )
-    pot = QuadraticDiagonal([1.0])
-    pot4 = QuadraticDiagonal([4.0])
-    tr = integrate_bregman_flow(params, pot, [1.0], [0.0], 0.1, 10.0, 4000)
-    ref = integrate_flow(pot4, Vanishing(3.0), [1.0], [0.0], 0.1, 10.0, 4000)
-    assert np.max(np.abs(tr.x - ref.x)) <= 1e-10
+    for pot, pot4 in ((QuadraticDiagonal([1.0]), QuadraticDiagonal([4.0])),
+                      (Polynomial1D(1.0, 4), Polynomial1D(4.0, 4))):
+        tr = integrate_flow(pot, params, [1.0], [0.0], 0.1, 10.0, 4000)
+        ref = integrate_flow(pot4, Vanishing(3.0), [1.0], [0.0], 0.1, 10.0, 4000)
+        assert np.max(np.abs(tr.x - ref.x)) <= 1e-10
 
 
 def test_bregman_rate():
     pot = QuadraticDiagonal([1.0])
-    tr = integrate_bregman_flow(nesterov_recovering_params(), pot,
-                                [1.0], [0.0], 0.1, 10.0, 4000)
+    tr = integrate_flow(pot, nesterov_recovering_params(), [1.0], [0.0], 0.1, 10.0, 4000)
     mask = tr.t >= 1.0
     assert np.max(tr.t[mask] ** 2 * pot.value_rows(tr.x[mask])) <= 8.0
 
 
 def test_equilibrium_bregman():
     pot = QuadraticDiagonal([2.0], xstar=[1.5])
-    tr = integrate_bregman_flow(nesterov_recovering_params(), pot,
-                                [1.5], [0.0], 0.1, 5.0, 200)
+    tr = integrate_flow(pot, nesterov_recovering_params(), [1.5], [0.0], 0.1, 5.0, 200)
     assert np.max(np.abs(tr.x - 1.5)) <= 1e-14
 
 
@@ -145,15 +144,6 @@ def test_ideal_scaling():
 def test_time_function_fd_derivative():
     f = TimeFunction(lambda t: t ** 3)
     assert f.deriv(2.0) == pytest.approx(12.0, abs=1e-5)
-
-
-def test_non_euclidean_rejected():
-    params = BregmanParams(
-        alpha=TimeFunction(lambda t: 0.0), beta=TimeFunction(lambda t: 0.0),
-        gamma=TimeFunction(lambda t: t), psi="entropy")
-    with pytest.raises(ValueError):
-        integrate_bregman_flow(params, QuadraticDiagonal([1.0]),
-                               [1.0], [0.0], 0.0, 1.0, 10)
 
 
 def test_damping_regime():
@@ -187,8 +177,9 @@ def test_preconditions():
         integrate_flow(pot, Constant(1.0), [1.0], [0.0], 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         integrate_flow(pot, Constant(1.0), [1.0, 2.0], [0.0], 0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        Constant(-0.5)
+    for alpha in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Constant(alpha)
 
 
 def test_csv_roundtrip():
@@ -240,3 +231,52 @@ def test_propagator_chunk_seams(monkeypatch):
         for a, b in ((got.x, want.x), (got.v, want.v)):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
+
+def _reference_rk4(rhs, y0, t1, t2, n):
+    """Classical RK4 on a numpy state vector, one numpy expression per stage."""
+    h = (t2 - t1) / n
+    out = np.empty((n + 1, len(y0)))
+    out[0] = y = np.array(y0, dtype=float)
+    for i in range(n):
+        t = t1 + i * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        out[i + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def test_scalar_stepper_matches_reference_rk4():
+    # the float stepper does the reference's operations in the same order,
+    # so Polynomial1D flows and gradient flows agree bit for bit
+    for p, damping in itertools.product((2, 4, 6), (Vanishing(3.0), Vanishing(2.5), Constant(0.7))):
+        pot = Polynomial1D(0.8, p, 0.1)
+
+        def grad(x):
+            return np.array([pot.a * p * (x[0] - pot.xstar) ** (p - 1)])
+
+        def rhs(t, y):
+            return np.concatenate((y[1:], -damping.coefficient(t) * y[1:] - grad(y[:1])))
+
+        ref = _reference_rk4(rhs, [1.2, -0.3], 0.2, 6.0, 600)
+        got = integrate_flow(pot, damping, [1.2], [-0.3], 0.2, 6.0, 600)
+        assert np.array_equal(got.x[:, 0], ref[:, 0]) and np.array_equal(got.v[:, 0], ref[:, 1])
+        ref = _reference_rk4(lambda t, y: -grad(y), [1.2], 0.2, 6.0, 600)
+        got = integrate_gradient_flow(pot, [1.2], 0.2, 6.0, 600)
+        assert np.array_equal(got.x[:, 0], ref[:, 0])
+    # on a quadratic the gradient flow takes the closed RK4 factor R(-h lam)^n
+    pot = QuadraticDiagonal([0.5, 3.0, 40.0], xstar=[1.0, 0.0, -2.0])
+    ref = _reference_rk4(lambda t, y: -pot.grad_rows(y), [2.0, -1.0, 0.5], 0.0, 5.0, 500)
+    got = integrate_gradient_flow(pot, [2.0, -1.0, 0.5], 0.0, 5.0, 500)
+    assert np.max(np.abs(got.x - ref)) <= 1e-13
+
+
+def test_divergence_raises_numerical_error():
+    # float ** overflows with OverflowError, the array paths with inf
+    with pytest.raises(NumericalError):
+        integrate_flow(Polynomial1D(1.0, 6), Constant(0.0), [1e70], [0.0], 0.0, 1.0, 10)
+    with pytest.raises(NumericalError):
+        integrate_gradient_flow(Polynomial1D(1.0, 4), [1e120], 0.0, 1.0, 10)
+    with pytest.raises(NumericalError):
+        integrate_gradient_flow(QuadraticDiagonal([1e300]), [1.0], 0.0, 10.0, 10)

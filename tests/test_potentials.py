@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,17 @@ def test_quadratic_values():
     assert pot.value([2.0]) == 2.0
     assert pot.value([0.0]) == 0.0
     pot2 = QuadraticDiagonal([1.0, 4.0])
-    np.testing.assert_allclose(pot2.grad([1.0, 1.0]), [1.0, 4.0])
-    np.testing.assert_allclose(pot2.grad(pot2.xstar), [0.0, 0.0])
+    np.testing.assert_allclose(pot2.grad_rows(np.array([1.0, 1.0])), [1.0, 4.0])
+    np.testing.assert_allclose(pot2.grad_rows(pot2.xstar), [0.0, 0.0])
 
 
 def test_polynomial_values():
     pot = Polynomial1D(1.0, 4, 0.0)
     assert pot.value([2.0]) == 16.0
-    assert pot.grad([2.0])[0] == 32.0
+    assert pot.grad_rows(2.0) == 32.0
     assert pot.value([0.0]) == 0.0
-    assert pot.grad([0.0])[0] == 0.0
+    assert pot.grad_rows(0.0) == 0.0
+    np.testing.assert_array_equal(pot.grad_rows(np.array([[2.0], [-1.0]])), [[32.0], [-4.0]])
 
 
 def test_curvature_bounds():
@@ -49,6 +52,12 @@ def test_validation():
         Polynomial1D(1.0, 3)  # odd degree is nonconvex
     with pytest.raises(ValueError):
         QuadraticDiagonal([1.0, 2.0]).value([1.0])
+    for lam, xstar in (([1.0, math.nan], None), ([math.inf], None), ([1.0], [math.nan])):
+        with pytest.raises(ValueError):
+            QuadraticDiagonal(lam, xstar=xstar)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Polynomial1D(a, 4)
 
 
 def test_gradient_finite_difference():
@@ -60,10 +69,10 @@ def test_gradient_finite_difference():
         for _ in range(20):
             x = rng.normal(size=pot.dim)
             h = rng.normal(size=pot.dim)
-            g = float(np.dot(pot.grad(x), h))
+            g = float(np.dot(pot.grad_rows(x), h))
             for s in (1e-4, 1e-5):
                 fd = (pot.value(x + s * h) - pot.value(x - s * h)) / (2.0 * s)
-                tol = 1e-6 * (1.0 + np.linalg.norm(pot.grad(x)) * np.linalg.norm(h))
+                tol = 1e-6 * (1.0 + np.linalg.norm(pot.grad_rows(x)) * np.linalg.norm(h))
                 assert abs(fd - g) <= tol
 
 
