@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,12 @@ def _as_float(v, where: str) -> float:
 def _as_int(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
+def _as_list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where} must be an array, got {v!r}")
     return v
 
 
@@ -228,12 +235,45 @@ class Writer:
                 pass
 
 
-def _csv(rows: list, header: list) -> str:
+def _csv(header: list, *blocks: list) -> str:
+    """CSV text: the header line, then the rows of each block in turn.
+
+    A block is a list of columns, one per header field.  A float array
+    column prints each cell with printf `%.17g` (17 significant digits, so
+    every double round-trips; nan, inf, -0 as `nan`, `inf`, `-0`).  A list,
+    or an integer array, prints each cell with `%s`, i.e. `str(cell)`, so
+    float columns must come as float arrays.  A scalar fills the whole
+    column and is formatted once (a float with `%.17g`), into the row
+    template; a block needs at least one sequence column.  Each block is
+    rendered by one `%` call on that template; the formats are pinned by
+    tests/test_outputs.py.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    for cols in blocks:
+        fmt, cells = [], []
+        for col in cols:
+            if isinstance(col, np.ndarray):
+                fmt.append("%.17g" if col.dtype.kind == "f" else "%s")
+                cells.append(col.tolist())
+            elif isinstance(col, (list, tuple)):
+                fmt.append("%s")
+                cells.append(col)
+            else:
+                text = "%.17g" % col if isinstance(col, float) else str(col)
+                fmt.append(text.replace("%", "%%"))
+        n = len(cells[0])
+        if any(len(c) != n for c in cells):
+            raise ValueError("CSV columns differ in length")
+        if n:
+            lines.append("\n".join([",".join(fmt)] * n)
+                         % tuple(chain.from_iterable(zip(*cells))))
     return "\n".join(lines) + "\n"
+
+
+def _fmt17(values: np.ndarray) -> list:
+    """`%.17g` of each value, as a list of str: a `_csv` column shared by
+    several blocks is formatted once."""
+    return ("%.17g\n" * len(values) % tuple(values.tolist())).splitlines()
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +306,7 @@ def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
             err = max(err, float(np.max(np.abs(traj.x[:, i] - ref))))
         results["closed_form_max_error"] = err
     writer.text("trajectory.csv", traj.to_csv())
-    series = [(f"x_{i}", traj.t.tolist(), traj.x[:, i].tolist())
-              for i in range(traj.dim)]
+    series = [(f"x_{i}", traj.t, traj.x[:, i]) for i in range(traj.dim)]
     writer.text("figure.svg", line_chart(series, title="flow trajectory",
                                          xlabel="t", ylabel="x"))
     return {"results": results,
@@ -327,16 +366,18 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
         lam = float(pot.eigenvalues[0])
         c = probes[0].params[0]
         sign_changes.append({"epsilon_star": epsilon_star(lam * c * c, lam)})
-    rows = [(i, e["d2j_quadrature"],
-             e["d2j_closed_form"] if e["d2j_closed_form"] is not None else float("nan"))
-            for i, e in enumerate(table)]
-    writer.text("d2j.csv", _csv(rows, ["index", "d2j_quadrature", "d2j_closed_form"]))
+    idx = list(range(len(table)))
+    quad = np.array([e["d2j_quadrature"] for e in table], dtype=float)
+    if not np.all(np.isfinite(quad)):
+        raise NumericalError("d2J quadrature is not finite")
+    # dtype=float turns a missing closed form (None) into nan
+    closed = np.array([e["d2j_closed_form"] for e in table], dtype=float)
+    writer.text("d2j.csv", _csv(["index", "d2j_quadrature", "d2j_closed_form"],
+                                [idx, quad, closed]))
     if len(table) > 1:
-        idx = list(range(len(table)))
-        series = [("quadrature", idx, [e["d2j_quadrature"] for e in table])]
+        series = [("quadrature", idx, quad)]
         if all(e["d2j_closed_form"] is not None for e in table):
-            series.append(("closed form", idx,
-                           [e["d2j_closed_form"] for e in table]))
+            series.append(("closed form", idx, closed))
         writer.text("figure.svg", line_chart(
             series, title="second variation by probe", xlabel="probe index",
             ylabel="d2J"))
@@ -354,16 +395,25 @@ def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
     t1, t2 = _interval(cfg)
     sweep = cfg.get("sweep", {})
     _reject_unknown(sweep, {"lengths", "t1", "alpha"}, "sweep")
-    lengths = [_as_float(v, "sweep lengths") for v in sweep.get("lengths", [t2 - t1])]
-    starts = [_as_float(v, "sweep t1") for v in sweep.get("t1", [t1])]
+    lengths = [_as_float(v, "sweep lengths")
+               for v in _as_list(sweep.get("lengths", [t2 - t1]), "sweep lengths")]
+    starts = [_as_float(v, "sweep t1") for v in _as_list(sweep.get("t1", [t1]), "sweep t1")]
     alphas = sweep.get("alpha")
-    dampings = ([Constant(_as_float(a, "sweep alpha")) for a in alphas]
-                if alphas is not None else [damping])
+    dampings = [damping]
+    if alphas is not None:
+        alphas = [_as_float(a, "sweep alpha") for a in _as_list(alphas, "sweep alpha")]
+        try:
+            dampings = [Constant(a) for a in alphas]
+        except ValueError as exc:
+            raise ConfigError(f"sweep alpha: {exc}") from exc
     records = []
     for dmp in dampings:
         for start in starts:
             for length in lengths:
-                cls = classify(pot, dmp, start, start + length)
+                try:
+                    cls = classify(pot, dmp, start, start + length)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep t1={start!r}, length={length!r}: {exc}") from exc
                 rec = {"damping": ({"kind": "constant", "alpha": dmp.alpha}
                                    if isinstance(dmp, Constant)
                                    else {"kind": "vanishing", "c": dmp.c}),
@@ -374,11 +424,13 @@ def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
                     rec["indefiniteness_witness"] = saddle_witness(
                         beta, start, start + length)
                 records.append(rec)
-    rows = [(r["t1"], r["t2"], r["classification"]["verdict"],
-             r["classification"]["binding_eigenvalue"]
-             if r["classification"]["binding_eigenvalue"] is not None else float("nan"))
-            for r in records]
-    writer.text("classify.csv", _csv(rows, ["t1", "t2", "verdict", "binding_eigenvalue"]))
+    cols = [np.array([r["t1"] for r in records], dtype=float),
+            np.array([r["t2"] for r in records], dtype=float),
+            [r["classification"]["verdict"] for r in records],
+            # None (no binding eigenvalue) becomes nan
+            np.array([r["classification"]["binding_eigenvalue"] for r in records],
+                     dtype=float)]
+    writer.text("classify.csv", _csv(["t1", "t2", "verdict", "binding_eigenvalue"], cols))
     return {"results": {"records": records},
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"]},
             "notes": []}
@@ -416,13 +468,8 @@ def _reproduce_fig1(writer: Writer, seed: int) -> dict:
         table.append({"direction": label, "perturbation": h.descriptor(),
                       "d2j_quadrature": d2, "d2j_closed_form": closed,
                       "delta_action": action(spec, disp) - action(spec, base)})
-    rows = []
-    for label, traj in curves.items():
-        for t, x in zip(traj.t, traj.x[:, 0]):
-            rows.append((label, float(t), float(x)))
-    writer.text("fig1_curves.csv", _csv(rows, ["curve", "t", "x"]))
-    series = [(lbl, traj.t.tolist(), traj.x[:, 0].tolist())
-              for lbl, traj in curves.items()]
+    series = [(lbl, traj.t, traj.x[:, 0]) for lbl, traj in curves.items()]
+    writer.text("fig1_curves.csv", _csv(["curve", "t", "x"], *series))
     writer.text("fig1.svg", line_chart(
         series, title="flow and two perturbation directions", xlabel="t", ylabel="x"))
     return {"results": {"table": table, "epsilon_star": star},
@@ -438,7 +485,7 @@ def _reproduce_fig2(writer: Writer, seed: int) -> dict:
     slopes = [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]
     conj = {}
     for t1 in (1.0, 4.0):
-        rows = []
+        blocks = []
         series = []
         markers = []
         for beta in betas:
@@ -449,13 +496,12 @@ def _reproduce_fig2(writer: Writer, seed: int) -> dict:
             ts, ys, _ = jacobi_solution(spec, beta, t1, t_end, 4000)
             # the Jacobi equation is linear: one unit-slope solution scales
             # to every initial velocity in the fan
-            for s in slopes:
-                for t, y in zip(ts[::8], ys[::8]):
-                    rows.append((beta, s, float(t), float(s * y)))
-            series.append((f"beta={beta:g}", ts.tolist(), ys.tolist()))
+            t_cells, y8 = _fmt17(ts[::8]), ys[::8]
+            blocks += [[beta, s, t_cells, s * y8] for s in slopes]
+            series.append((f"beta={beta:g}", ts, ys))
             markers.append((tau, 0.0, "#000"))
         writer.text(f"fig2_t1_{t1:g}.csv",
-                    _csv(rows, ["beta", "slope", "t", "h"]))
+                    _csv(["beta", "slope", "t", "h"], *blocks))
         writer.text(f"fig2_t1_{t1:g}.svg", line_chart(
             series, title=f"Jacobi solutions from t1={t1:g} (unit slope)",
             xlabel="t", ylabel="h", markers=markers))
@@ -483,8 +529,8 @@ def _reproduce_fig3(writer: Writer, seed: int) -> dict:
         damping = Constant(alpha)
         spec = LagrangianSpec(damping, pot)
         traj = integrate_flow(pot, damping, x0, [0.0, 0.0], t1, t2, 24000)
-        series.append((f"alpha={alpha:.4g}", traj.t[::30].tolist(),
-                       pot.value_rows(traj.x[::30]).tolist()))
+        series.append((f"alpha={alpha:.4g}", traj.t[::30],
+                       pot.value_rows(traj.x[::30])))
         crossover = (2.0 * math.pi / math.sqrt(4.0 * beta_stated - alpha * alpha)
                      if alpha < 2.0 * math.sqrt(beta_stated) else None)
         actions = []
@@ -496,11 +542,11 @@ def _reproduce_fig3(writer: Writer, seed: int) -> dict:
                             "verdict": cls.verdict})
         records.append({"alpha": alpha, "crossover_length": crossover,
                         "windows": actions})
-    rows = []
-    for rec in records:
-        for w in rec["windows"]:
-            rows.append((rec["alpha"], w["length"], w["action"], w["verdict"]))
-    writer.text("fig3_actions.csv", _csv(rows, ["alpha", "length", "action", "verdict"]))
+    blocks = [[rec["alpha"],
+               np.array([w["length"] for w in rec["windows"]], dtype=float),
+               np.array([w["action"] for w in rec["windows"]], dtype=float),
+               [w["verdict"] for w in rec["windows"]]] for rec in records]
+    writer.text("fig3_actions.csv", _csv(["alpha", "length", "action", "verdict"], *blocks))
     writer.text("fig3.svg", line_chart(series, title="objective along constant-damping flows",
                                        xlabel="t", ylabel="f(x)"))
     return {"results": {"records": records},
@@ -526,17 +572,16 @@ def _reproduce_unbounded(writer: Writer, seed: int) -> dict:
     star = epsilon_star(c * c, 1.0)
     eps_small, eps_large = 0.9, 2.8
     sigmas = [1.0, 10.0, 100.0, 1000.0]
-    rows = []
     results = {"epsilon_star": star, "eps_small": eps_small, "eps_large": eps_large,
                "actions": []}
     for sigma in sigmas:
         j_small = action(spec, perturb_curve(zero, scale(triangle(c, eps_small, t1, t2), sigma)))
         j_large = action(spec, perturb_curve(zero, scale(triangle(c, eps_large, t1, t2), sigma)))
-        rows.append((sigma, j_small, j_large))
         results["actions"].append({"sigma": sigma, "action_small_eps": j_small,
                                    "action_large_eps": j_large})
-    writer.text("unbounded.csv", _csv(rows, ["sigma", "action_small_eps",
-                                             "action_large_eps"]))
+    header = ["sigma", "action_small_eps", "action_large_eps"]
+    writer.text("unbounded.csv", _csv(header, [
+        np.array([a[key] for a in results["actions"]], dtype=float) for key in header]))
     return {"results": results,
             "inputs": {"potential": "quadratic beta=1", "damping": "vanishing c=3",
                        "interval": {"t1": t1, "t2": t2}},
@@ -565,12 +610,10 @@ def _reproduce_poly(writer: Writer, seed: int) -> dict:
                         "first_conjugate_time": tau,
                         "conjugate_free_length": (tau - w0) if tau is not None else None,
                         "searched_up_to": cap})
-    rows = [(r["window_start"],
-             r["first_conjugate_time"] if r["first_conjugate_time"] is not None else float("nan"),
-             r["conjugate_free_length"] if r["conjugate_free_length"] is not None else float("nan"))
-            for r in records]
-    writer.text("poly_windows.csv", _csv(rows, ["window_start", "first_conjugate_time",
-                                                "conjugate_free_length"]))
+    # a window without a conjugate point (None) prints as nan
+    header = ["window_start", "first_conjugate_time", "conjugate_free_length"]
+    writer.text("poly_windows.csv", _csv(header, [
+        np.array([r[key] for r in records], dtype=float) for key in header]))
     writer.text("poly_base.csv", Trajectory(base.t[::10], base.x[::10], base.v[::10]).to_csv())
     return {"results": {"records": records,
                         "conjugate_free_from_start": threshold},

@@ -173,14 +173,15 @@ class Trajectory:
         return xs, vs
 
     def to_csv(self) -> str:
-        """CSV serialization: t,x_0..x_{d-1},v_0..v_{d-1}, 17 significant digits."""
+        """CSV serialization: t,x_0..x_{d-1},v_0..v_{d-1}, every number printed
+        with printf `%.17g` (17 significant digits) by one `%` call over the
+        whole table; the format is pinned by tests/test_outputs.py."""
         d = self.dim
         header = ",".join(["t"] + [f"x_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)])
-        lines = [header]
-        for k in range(len(self.t)):
-            row = [self.t[k], *self.x[k], *self.v[k]]
-            lines.append(",".join(f"{val:.17g}" for val in row))
-        return "\n".join(lines) + "\n"
+        table = np.column_stack([self.t, self.x, self.v])
+        row = ",".join(["%.17g"] * table.shape[1])
+        body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+        return f"{header}\n{body}\n"
 
 
 def _step_maps(dampf, qfn, t, h):

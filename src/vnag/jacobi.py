@@ -87,16 +87,23 @@ def jacobi_closed_vanishing(beta: float, t1: float, t: float) -> float:
 
         h(t) = Y1(s)/t - (Y1(s1)/J1(s1)) J1(s)/t,   s = sqrt(beta) t.
 
-    Degenerates when J1(sqrt(beta) t1) is (numerically) zero; use shooting
-    in that case.
+    Degenerates (ValueError; use shooting) when s1 = sqrt(beta) t1 lies
+    within four ulps of a zero of J1.  The distance to that zero is
+    |J1(s1) / J1'(s1)|, and near it the Wronskian J1 Y1' - J1' Y1 = 2/(pi s)
+    (DLMF 10.5.2) gives J1' = -2 / (pi s1 Y1(s1)); as s1 -> 0+ the same
+    expression tends to s1/2, which is never within ulps of s1.  Where
+    Y1(s1)/J1(s1) overflows (s1 below about 8e-155), NumericalError.
     """
     if t1 <= 0:
         raise ValueError("need t1 > 0")
     rb = math.sqrt(beta)
-    j1_t1 = bessel_j1(rb * t1)
-    if abs(j1_t1) < 1e-12:
+    s1 = rb * t1
+    j1_s1, y1_s1 = bessel_j1(s1), bessel_y1(s1)
+    if abs(j1_s1 * y1_s1) * (0.5 * math.pi * s1) <= 4.0 * math.ulp(s1):
         raise ValueError("closed form degenerates (J1(sqrt(beta) t1) ~ 0); use shooting")
-    k = bessel_y1(rb * t1) / j1_t1
+    k = y1_s1 / j1_s1
+    if math.isinf(k):
+        raise NumericalError(f"Y1/J1 overflows at sqrt(beta) t1 = {s1!r}")
     return bessel_y1(rb * t) / t - k * bessel_j1(rb * t) / t
 
 

@@ -1,12 +1,14 @@
-"""Tiny dependency-free SVG line charts.
+"""Tiny SVG line charts, written out directly (no plotting library).
 
 CSV files are the authoritative experiment output; these charts are a
-convenience for eyeballing them.  Output is deterministic (fixed-precision
-coordinates, no timestamps).
+convenience for eyeballing them.  Output is deterministic (coordinates
+printed with printf `%.2f`, no timestamps).
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
@@ -34,17 +36,22 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
                width: int = 720, height: int = 440, markers: list | None = None) -> str:
     """Render polyline series as an SVG string.
 
-    series: list of (label, xs, ys) triples.
+    series: list of (label, xs, ys) triples; xs and ys are arrays or
+        sequences of numbers, taken as float64.
     markers: optional list of (x, y, color) scatter points.
+
+    Each polyline is printed by one `%` call with `%.2f` per coordinate; the
+    pixel arithmetic runs on float64 arrays in the order of the scalar
+    `px`/`py`, so every coordinate is the double the scalar form gives.
     """
     pad_l, pad_r, pad_t, pad_b = 62, 16, 34, 46
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if markers:
-        xs_all += [m[0] for m in markers]
-        ys_all += [m[1] for m in markers]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in series]
+    marks = markers or []
+    xs_all = np.concatenate([xs for _, xs, _ in series] + [[m[0] for m in marks]])
+    ys_all = np.concatenate([ys for _, _, ys in series] + [[m[1] for m in marks]])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -93,7 +100,8 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
                      f'transform="rotate(-90 14 {pad_t + plot_h / 2:.1f})">{ylabel}</text>')
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        xy = np.column_stack([px(xs), py(ys)])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.4"/>')
         if label:
@@ -103,7 +111,7 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
                          'stroke-width="2"/>')
             parts.append(f'<text x="{pad_l + plot_w - 95}" y="{ly}" '
                          f'font-family="sans-serif" font-size="11">{label}</text>')
-    for m in markers or []:
+    for m in marks:
         parts.append(f'<circle cx="{px(m[0]):.2f}" cy="{py(m[1]):.2f}" r="3.5" '
                      f'fill="{m[2] if len(m) > 2 else "#000"}"/>')
     parts.append("</svg>")

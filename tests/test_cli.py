@@ -129,6 +129,19 @@ def test_non_finite_report_exit_code(tmp_path):
     assert not list(out.glob("*"))
 
 
+def test_non_finite_sweep_exit_code(tmp_path):
+    # the same NaN d2J in a two-probe sweep, which also draws a chart
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "potential": {"kind": "quadratic", "eigenvalues": [1.0]},
+        "damping": {"kind": "constant", "alpha": 10.0},
+        "interval": {"t1": 0.5, "t2": 100.0},
+        "perturbations": [{"kind": "sinusoid", "k": [1, 2]}],
+    })
+    out = tmp_path / "out"
+    assert main(["second-variation", "--config", cfg, "--out", str(out)]) == 3
+    assert not list(out.glob("*"))
+
+
 _CLASSIFY = {"potential": {"kind": "quadratic", "eigenvalues": [1.0]},
              "damping": {"kind": "vanishing", "c": 3.0},
              "interval": {"t1": 1.0, "t2": 5.0}}
@@ -141,6 +154,19 @@ _CLASSIFY = {"potential": {"kind": "quadratic", "eigenvalues": [1.0]},
 ], ids=["nan_eigenvalue", "nan_alpha", "infinite_t2"])
 def test_non_finite_input_rejected(tmp_path, field, value):
     cfg = _write_cfg(tmp_path / "cfg.json", {**_CLASSIFY, field: value})
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("sweep", [
+    {"alpha": [-1.0]},
+    {"lengths": [-1.0]},
+    {"t1": [-1.0]},
+    {"alpha": 1.0},
+], ids=["negative_alpha", "negative_length", "negative_start", "scalar_alpha"])
+def test_bad_sweep_rejected(tmp_path, sweep):
+    cfg = _write_cfg(tmp_path / "cfg.json", {**_CLASSIFY, "sweep": sweep})
     out = tmp_path / "out"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
     assert not list(out.glob("*"))

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -62,6 +63,29 @@ def test_closed_vanishing_degenerate_start():
         jacobi_closed_vanishing(1.0, j11, 5.0)
     rep = conjugate_points_shooting(_vspec(1.0), 1.0, j11, 12.0, n_steps=8000)
     assert len(rep.conjugate_times) >= 1
+
+
+def test_closed_vanishing_tiny_start():
+    # J1 has no zero near 0+: as s1 -> 0, Y1(s1)/J1(s1) -> -4/(pi s1^2), so
+    # h(t) tends to Y1(s)/t + 4/(pi s1^2) J1(s)/t, whose second term dominates
+    s1, t = 1e-150, 2.0
+    limit = 4.0 / (math.pi * s1 * s1) * float(mp.besselj(1, t)) / t
+    h = jacobi_closed_vanishing(1.0, s1, t)
+    assert math.isfinite(h)
+    assert abs(h - limit) <= 1e-14 * abs(limit)
+    # the ratio overflows below s1 ~ 8e-155
+    with pytest.raises(NumericalError):
+        jacobi_closed_vanishing(1.0, 1e-160, t)
+
+
+def test_closed_vanishing_degenerate_within_ulps():
+    # the double nearest the first zero of J1, and its neighbours one ulp
+    # away, are degenerate; a start 50 ulps away is not
+    j11 = 3.8317059702075125
+    for s1 in (j11, math.nextafter(j11, 0.0), math.nextafter(j11, 4.0)):
+        with pytest.raises(ValueError):
+            jacobi_closed_vanishing(1.0, s1, 5.0)
+    assert math.isfinite(jacobi_closed_vanishing(1.0, j11 + 50 * math.ulp(j11), 5.0))
 
 
 def test_closed_constant_critical_has_no_zero():
