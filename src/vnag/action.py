@@ -12,40 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingSchedule, Trajectory, Vanishing
+from .dynamics import DampingSchedule, Trajectory, Vanishing, _check_interval
 from .potentials import Polynomial1D, Potential, QuadraticDiagonal
 
 
 @dataclass(frozen=True)
 class LagrangianSpec:
-    """Weight family (from the damping schedule) plus the objective.
-
-    zero_potential drops the f term entirely (the free-motion limit),
-    which is occasionally useful for analytic checks.
-    """
+    """Weight family (from the damping schedule) plus the objective."""
 
     damping: DampingSchedule
     pot: Potential
-    zero_potential: bool = False
 
     def weight(self, t):
         return self.damping.weight(t)
-
-    def _f_rows(self, xs: np.ndarray) -> np.ndarray:
-        if self.zero_potential:
-            return np.zeros(len(xs))
-        return self.pot.value_rows(xs)
 
     def _check_time(self, t_min: float):
         if isinstance(self.damping, Vanishing) and t_min <= 0:
             raise ValueError("vanishing-damping Lagrangian needs t > 0")
 
     def descriptor(self) -> dict:
-        d = {"damping": self.damping.descriptor(),
-             "potential": self.pot.descriptor()}
-        if self.zero_potential:
-            d["zero_potential"] = True
-        return d
+        return {"damping": self.damping.descriptor(),
+                "potential": self.pot.descriptor()}
 
 
 @dataclass(frozen=True)
@@ -61,8 +48,7 @@ def lagrangian(spec: LagrangianSpec, y, ydot, t: float) -> float:
     spec._check_time(t)
     ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
     kinetic = 0.5 * float(np.dot(ydot, ydot))
-    fval = 0.0 if spec.zero_potential else spec.pot.value(y)
-    return float(spec.weight(t)) * (kinetic - fval)
+    return float(spec.weight(t)) * (kinetic - spec.pot.value(y))
 
 
 def pq_coefficients(spec: LagrangianSpec, t: float) -> PQCoefficients:
@@ -70,8 +56,7 @@ def pq_coefficients(spec: LagrangianSpec, t: float) -> PQCoefficients:
     if not isinstance(spec.pot, QuadraticDiagonal):
         raise ValueError("P/Q coefficients need a diagonal quadratic potential")
     w = float(spec.weight(t))
-    lam = np.zeros(spec.pot.dim) if spec.zero_potential else spec.pot.eigenvalues
-    return PQCoefficients(p=w, q=-lam * w)
+    return PQCoefficients(p=w, q=-spec.pot.eigenvalues * w)
 
 
 def _simpson(vals: np.ndarray, step: float) -> float:
@@ -112,14 +97,17 @@ def action(spec: LagrangianSpec, curve: Trajectory) -> float:
             raise ValueError("segment grid is not uniform")
         kinetic = 0.5 * np.einsum("ij,ij->i", curve.v[i0:i1 + 1], curve.v[i0:i1 + 1])
         integrand = np.asarray(spec.weight(t), dtype=float) \
-            * (kinetic - spec._f_rows(curve.x[i0:i1 + 1]))
+            * (kinetic - spec.pot.value_rows(curve.x[i0:i1 + 1]))
         total += _simpson(integrand, float(d[0]))
     return float(total)
 
 
-def _check_admissible(h, t1: float, t2: float):
+def _check_admissible(h, t1: float, t2: float, dim: int):
     if abs(h.t1 - t1) > 1e-9 or abs(h.t2 - t2) > 1e-9:
         raise ValueError("perturbation interval does not match")
+    if not 0 <= h.component < dim:
+        raise ValueError(f"perturbation component {h.component} out of range "
+                         f"for dimension {dim}")
     scale = max(1.0, abs(h.sigma))
     ends = np.abs(h.value(np.array([t1, t2])))
     if np.any(ends > 1e-12 * scale):
@@ -147,7 +135,7 @@ def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
     Euler-Lagrange equation.
     """
     spec._check_time(curve.t1)
-    _check_admissible(h, curve.t1, curve.t2)
+    _check_admissible(h, curve.t1, curve.t2, spec.pot.dim)
     comp = h.component
     total = 0.0
     for nodes in _span_grids(curve.t1, curve.t2, h.interior_knots(), n_steps):
@@ -155,10 +143,7 @@ def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
         w = np.asarray(spec.weight(nodes), dtype=float)
         hv = h.value(nodes)
         hd = h.deriv(nodes)
-        if spec.zero_potential:
-            g = np.zeros(len(nodes))
-        else:
-            g = spec.pot.grad_rows(xs)[:, comp]
+        g = spec.pot.grad_rows(xs)[:, comp]
         integrand = w * (vs[:, comp] * hd - g * hv)
         total += _simpson(integrand, float(nodes[1] - nodes[0]))
     return float(total)
@@ -168,8 +153,6 @@ def _q_values(spec: LagrangianSpec, nodes: np.ndarray, comp: int,
               base: Trajectory | None) -> np.ndarray:
     """Q(t) = L_YY - d/dt L_YY' along the relevant eigendirection."""
     w = np.asarray(spec.weight(nodes), dtype=float)
-    if spec.zero_potential:
-        return np.zeros(len(nodes))
     if isinstance(spec.pot, QuadraticDiagonal):
         return -spec.pot.eigenvalues[comp] * w
     if isinstance(spec.pot, Polynomial1D):
@@ -187,8 +170,8 @@ def second_variation(spec: LagrangianSpec, t1: float, t2: float, h,
     For quadratic potentials Q is independent of the base curve, so none is
     needed; Polynomial1D requires `base` to evaluate f'' along it.
     """
-    spec._check_time(t1)
-    _check_admissible(h, t1, t2)
+    _check_interval(spec.damping, t1, t2)
+    _check_admissible(h, t1, t2, spec.pot.dim)
     comp = h.component
     total = 0.0
     for nodes in _span_grids(t1, t2, h.interior_knots(), n_steps):

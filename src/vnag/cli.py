@@ -3,7 +3,9 @@
 Subcommands: simulate, second-variation, classify, reproduce.  Configs are
 single JSON documents with unknown fields rejected; outputs are CSV/JSON
 (authoritative) plus small SVG charts, all byte-deterministic for a fixed
-config and seed.  Exit codes: 0 ok, 2 config error, 3 numerical failure.
+config and seed.  Exit codes: 0 ok, 2 config error (any `ValueError`: the
+library raises it only to reject its arguments), 3 numerical failure
+(`NumericalError`, or a float overflow).
 """
 from __future__ import annotations
 
@@ -69,10 +71,10 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-def _as_list(v, where: str) -> list:
-    if not isinstance(v, list):
-        raise ConfigError(f"{where} must be an array, got {v!r}")
-    return v
+def _floats(v, where: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where} must be a non-empty array, got {v!r}")
+    return [_as_float(x, where) for x in v]
 
 
 def _as_vector(v, where: str) -> np.ndarray:
@@ -110,19 +112,12 @@ def build_potential(d: dict):
     kind = _need(d, "kind", "potential")
     if kind == "quadratic":
         _reject_unknown(d, {"kind", "eigenvalues", "xstar"}, "potential")
-        try:
-            return QuadraticDiagonal(_need(d, "eigenvalues", "potential"),
-                                     d.get("xstar"))
-        except ValueError as exc:
-            raise ConfigError(f"potential: {exc}") from exc
+        return QuadraticDiagonal(_need(d, "eigenvalues", "potential"), d.get("xstar"))
     if kind == "polynomial":
         _reject_unknown(d, {"kind", "a", "p", "xstar"}, "potential")
-        try:
-            return Polynomial1D(_as_float(_need(d, "a", "potential"), "a"),
-                                _as_int(_need(d, "p", "potential"), "p"),
-                                _as_float(d.get("xstar", 0.0), "xstar"))
-        except ValueError as exc:
-            raise ConfigError(f"potential: {exc}") from exc
+        return Polynomial1D(_as_float(_need(d, "a", "potential"), "a"),
+                            _as_int(_need(d, "p", "potential"), "p"),
+                            _as_float(d.get("xstar", 0.0), "xstar"))
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
@@ -135,21 +130,28 @@ def build_damping(d: dict):
         return Vanishing(_as_float(d.get("c", 3.0), "damping c"))
     if kind == "constant":
         _reject_unknown(d, {"kind", "alpha"}, "damping")
-        try:
-            return Constant(_as_float(_need(d, "alpha", "damping"), "alpha"))
-        except ValueError as exc:
-            raise ConfigError(f"damping: {exc}") from exc
+        return Constant(_as_float(_need(d, "alpha", "damping"), "alpha"))
     raise ConfigError(f"unknown damping kind {kind!r}")
 
 
 def _interval(cfg: dict) -> tuple:
+    """(t1, t2) as numbers; the library entry points check the window."""
     iv = _need(cfg, "interval", "config")
     _reject_unknown(iv, {"t1", "t2"}, "interval")
-    t1 = _as_float(_need(iv, "t1", "interval"), "interval t1")
-    t2 = _as_float(_need(iv, "t2", "interval"), "interval t2")
-    if not t1 < t2:
-        raise ConfigError("interval needs t1 < t2")
-    return t1, t2
+    return (_as_float(_need(iv, "t1", "interval"), "interval t1"),
+            _as_float(_need(iv, "t2", "interval"), "interval t2"))
+
+
+def _problem(cfg: dict) -> tuple:
+    """(potential, damping, t1, t2) of a config."""
+    return (build_potential(_need(cfg, "potential", "config")),
+            build_damping(_need(cfg, "damping", "config")), *_interval(cfg))
+
+
+def _n_steps(cfg: dict, default: int) -> int:
+    integ = cfg.get("integration", {})
+    _reject_unknown(integ, {"n_steps"}, "integration")
+    return _as_int(integ.get("n_steps", default), "n_steps")
 
 
 def _expand_perturbation(d: dict, t1: float, t2: float, seed: int) -> list:
@@ -157,42 +159,37 @@ def _expand_perturbation(d: dict, t1: float, t2: float, seed: int) -> list:
     if not isinstance(d, dict):
         raise ConfigError("perturbation must be an object")
     kind = _need(d, "kind", "perturbation")
-    sweep_field = None
-    for key, val in d.items():
-        if isinstance(val, list):
-            if sweep_field is not None:
-                raise ConfigError("at most one perturbation field may be a list")
-            sweep_field = key
-    entries = [d] if sweep_field is None else [
-        {**d, sweep_field: v} for v in d[sweep_field]]
+    swept = [key for key, val in d.items() if isinstance(val, list)]
+    if len(swept) > 1:
+        raise ConfigError("at most one perturbation field may be a list")
+    if swept and not d[swept[0]]:
+        raise ConfigError(f"perturbation field '{swept[0]}' sweeps an empty list")
+    entries = [{**d, key: v} for key in swept for v in d[key]] or [d]
     out = []
     for entry in entries:
         sigma = _as_float(entry.get("sigma", 1.0), "sigma")
         comp = _as_int(entry.get("component", 0), "component")
-        try:
-            if kind == "triangle":
-                _reject_unknown(entry, {"kind", "c", "eps", "delta", "sigma",
-                                        "component"}, "triangle perturbation")
-                h = triangle(_as_float(_need(entry, "c", "triangle"), "c"),
-                             _as_float(_need(entry, "eps", "triangle"), "eps"),
-                             t1, t2,
-                             delta=(_as_float(entry["delta"], "delta")
-                                    if "delta" in entry else None))
-            elif kind == "sinusoid":
-                _reject_unknown(entry, {"kind", "k", "sigma", "component"},
-                                "sinusoid perturbation")
-                h = sinusoid(_as_int(_need(entry, "k", "sinusoid"), "k"), t1, t2)
-            elif kind == "fourier":
-                _reject_unknown(entry, {"kind", "seed", "n_modes", "decay",
-                                        "sigma", "component"}, "fourier perturbation")
-                h = fourier_sine(_as_int(entry.get("seed", seed), "seed"),
-                                 _as_int(_need(entry, "n_modes", "fourier"), "n_modes"),
-                                 _as_float(_need(entry, "decay", "fourier"), "decay"),
-                                 t1, t2)
-            else:
-                raise ConfigError(f"unknown perturbation kind {kind!r}")
-        except ValueError as exc:
-            raise ConfigError(f"perturbation: {exc}") from exc
+        if kind == "triangle":
+            _reject_unknown(entry, {"kind", "c", "eps", "delta", "sigma",
+                                    "component"}, "triangle perturbation")
+            h = triangle(_as_float(_need(entry, "c", "triangle"), "c"),
+                         _as_float(_need(entry, "eps", "triangle"), "eps"),
+                         t1, t2,
+                         delta=(_as_float(entry["delta"], "delta")
+                                if "delta" in entry else None))
+        elif kind == "sinusoid":
+            _reject_unknown(entry, {"kind", "k", "sigma", "component"},
+                            "sinusoid perturbation")
+            h = sinusoid(_as_int(_need(entry, "k", "sinusoid"), "k"), t1, t2)
+        elif kind == "fourier":
+            _reject_unknown(entry, {"kind", "seed", "n_modes", "decay",
+                                    "sigma", "component"}, "fourier perturbation")
+            h = fourier_sine(_as_int(entry.get("seed", seed), "seed"),
+                             _as_int(_need(entry, "n_modes", "fourier"), "n_modes"),
+                             _as_float(_need(entry, "decay", "fourier"), "decay"),
+                             t1, t2)
+        else:
+            raise ConfigError(f"unknown perturbation kind {kind!r}")
         if sigma != 1.0:
             h = scale(h, sigma)
         if comp:
@@ -206,14 +203,17 @@ def _expand_perturbation(d: dict, t1: float, t2: float, seed: int) -> list:
 
 
 class Writer:
-    """Collects written artifact paths so failed runs can be cleaned up."""
+    """Collects written artifact paths so failed runs can be cleaned up.  The
+    output directory is created on the first write, so a run rejected before
+    it writes anything creates none."""
 
     def __init__(self, out_dir: str):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.paths: list[Path] = []
 
     def text(self, name: str, content: str) -> str:
+        if not self.paths:
+            self.dir.mkdir(parents=True, exist_ok=True)
         p = self.dir / name
         p.write_text(content)
         self.paths.append(p)
@@ -281,21 +281,14 @@ def _fmt17(values: np.ndarray) -> list:
 
 
 def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
-    pot = build_potential(_need(cfg, "potential", "config"))
-    damping = build_damping(_need(cfg, "damping", "config"))
-    t1, t2 = _interval(cfg)
-    integ = cfg.get("integration", {})
-    _reject_unknown(integ, {"n_steps"}, "integration")
-    n_steps = _as_int(integ.get("n_steps", 4000), "n_steps")
+    pot, damping, t1, t2 = _problem(cfg)
+    n_steps = _n_steps(cfg, 4000)
     init = _need(cfg, "initial", "config")
     _reject_unknown(init, {"x0", "v0"}, "initial")
     x0 = _as_vector(_need(init, "x0", "initial"), "x0")
     v0 = (_as_vector(init["v0"], "v0") if "v0" in init
           else np.zeros_like(x0))
-    try:
-        traj = integrate_flow(pot, damping, x0, v0, t1, t2, n_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    traj = integrate_flow(pot, damping, x0, v0, t1, t2, n_steps)
     residual = el_residual(traj, pot, damping)
     results = {"el_residual": residual, "n_steps": n_steps}
     if isinstance(damping, Constant) and isinstance(pot, QuadraticDiagonal):
@@ -331,25 +324,16 @@ def _closed_form_for(h, spec: LagrangianSpec) -> float | None:
 
 
 def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
-    pot = build_potential(_need(cfg, "potential", "config"))
-    damping = build_damping(_need(cfg, "damping", "config"))
-    t1, t2 = _interval(cfg)
-    integ = cfg.get("integration", {})
-    _reject_unknown(integ, {"n_steps"}, "integration")
-    n_steps = _as_int(integ.get("n_steps", 4096), "n_steps")
+    pot, damping, t1, t2 = _problem(cfg)
+    n_steps = _n_steps(cfg, 4096)
     spec = LagrangianSpec(damping, pot)
     raw = _need(cfg, "perturbations", "config")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("perturbations must be a non-empty list")
-    probes = []
-    for entry in raw:
-        probes.extend(_expand_perturbation(entry, t1, t2, seed))
+    probes = [h for entry in raw for h in _expand_perturbation(entry, t1, t2, seed)]
     table = []
     for h in probes:
-        try:
-            entry = second_variation_report(spec, t1, t2, h, n_steps=n_steps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        entry = second_variation_report(spec, t1, t2, h, n_steps=n_steps)
         quad = entry["value"]
         closed = _closed_form_for(h, spec)
         rel = (abs(quad - closed) / max(1e-300, abs(closed))
@@ -388,32 +372,20 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
 
 
 def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
-    pot = build_potential(_need(cfg, "potential", "config"))
+    pot, damping, t1, t2 = _problem(cfg)
     if not isinstance(pot, QuadraticDiagonal):
         raise ConfigError("classification needs a quadratic potential")
-    damping = build_damping(_need(cfg, "damping", "config"))
-    t1, t2 = _interval(cfg)
     sweep = cfg.get("sweep", {})
     _reject_unknown(sweep, {"lengths", "t1", "alpha"}, "sweep")
-    lengths = [_as_float(v, "sweep lengths")
-               for v in _as_list(sweep.get("lengths", [t2 - t1]), "sweep lengths")]
-    starts = [_as_float(v, "sweep t1") for v in _as_list(sweep.get("t1", [t1]), "sweep t1")]
-    alphas = sweep.get("alpha")
-    dampings = [damping]
-    if alphas is not None:
-        alphas = [_as_float(a, "sweep alpha") for a in _as_list(alphas, "sweep alpha")]
-        try:
-            dampings = [Constant(a) for a in alphas]
-        except ValueError as exc:
-            raise ConfigError(f"sweep alpha: {exc}") from exc
+    lengths = _floats(sweep.get("lengths", [t2 - t1]), "sweep lengths")
+    starts = _floats(sweep.get("t1", [t1]), "sweep t1")
+    dampings = ([damping] if "alpha" not in sweep
+                else [Constant(a) for a in _floats(sweep["alpha"], "sweep alpha")])
     records = []
     for dmp in dampings:
         for start in starts:
             for length in lengths:
-                try:
-                    cls = classify(pot, dmp, start, start + length)
-                except ValueError as exc:
-                    raise ConfigError(f"sweep t1={start!r}, length={length!r}: {exc}") from exc
+                cls = classify(pot, dmp, start, start + length)
                 rec = {"damping": ({"kind": "constant", "alpha": dmp.alpha}
                                    if isinstance(dmp, Constant)
                                    else {"kind": "vanishing", "c": dmp.c}),
@@ -440,20 +412,16 @@ def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
 # figure reproduction experiments
 
 
-def _warm_started_flow(pot, damping, x0, t_start, t1, t2, n_pre, n_main):
-    pre = integrate_flow(pot, damping, x0, np.zeros_like(np.atleast_1d(x0)),
-                         t_start, t1, n_pre)
-    return integrate_flow(pot, damping, pre.x[-1], pre.v[-1], t1, t2, n_main)
-
-
-def _reproduce_fig1(writer: Writer, seed: int) -> dict:
+def _reproduce_fig1(writer: Writer) -> dict:
     # flow on f = x^2/2, perturbed along two triangle directions whose
     # second variations have opposite signs on the same interval
     pot = QuadraticDiagonal([1.0])
     damping = Vanishing(3.0)
     t1, t2 = 1.0, 9.0
     spec = LagrangianSpec(damping, pot)
-    base = _warm_started_flow(pot, damping, [1.0], 0.01, t1, t2, 2000, 4000)
+    # warm start: the flow from (x0=1, v0=0) at t=0.01, continued from t1
+    pre = integrate_flow(pot, damping, [1.0], [0.0], 0.01, t1, 2000)
+    base = integrate_flow(pot, damping, pre.x[-1], pre.v[-1], t1, t2, 4000)
     c = 5.0
     eps_small, eps_large = 1.0, 3.2
     star = epsilon_star(1.0 * c * c, 1.0)
@@ -480,7 +448,7 @@ def _reproduce_fig1(writer: Writer, seed: int) -> dict:
                       "is the tool's choice of opposite-sign directions"]}
 
 
-def _reproduce_fig2(writer: Writer, seed: int) -> dict:
+def _reproduce_fig2(writer: Writer) -> dict:
     betas = [0.5, 1.0, 2.0, 4.0, 8.0]
     slopes = [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]
     conj = {}
@@ -510,7 +478,7 @@ def _reproduce_fig2(writer: Writer, seed: int) -> dict:
             "notes": ["higher curvature pulls the first conjugate point earlier"]}
 
 
-def _reproduce_fig3(writer: Writer, seed: int) -> dict:
+def _reproduce_fig3(writer: Writer) -> dict:
     # stated scale parameters beta >> mu; the displayed objective
     # 0.02 x^2 + 0.0004 y^2 has Hessian eigenvalues (0.04, 0.0008), i.e. the
     # stated beta/mu are the quadratic coefficients, not the eigenvalues.
@@ -558,7 +526,7 @@ def _reproduce_fig3(writer: Writer, seed: int) -> dict:
                       "Hessian eigenvalues; the discrepancy is recorded, not resolved"]}
 
 
-def _reproduce_unbounded(writer: Writer, seed: int) -> dict:
+def _reproduce_unbounded(writer: Writer) -> dict:
     # boundary-pinned curves sigma*h have action equal to their second
     # variation for quadratic objectives, so scaling sigma drives the action
     # to +inf along a small bump and to -inf along a wide one
@@ -588,7 +556,7 @@ def _reproduce_unbounded(writer: Writer, seed: int) -> dict:
             "notes": ["interval length exceeds sqrt(40/beta), so both signs are reachable"]}
 
 
-def _reproduce_poly(writer: Writer, seed: int) -> dict:
+def _reproduce_poly(writer: Writer) -> dict:
     # vanishing-curvature objective: windows that start while the curvature
     # along the path is still high contain conjugate points; once the flow
     # has collapsed toward the flat optimizer, no window of any searched
@@ -628,13 +596,8 @@ def _reproduce_poly(writer: Writer, seed: int) -> dict:
 _FIGURES = {"fig1": _reproduce_fig1, "fig2": _reproduce_fig2,
             "fig3": _reproduce_fig3, "unbounded": _reproduce_unbounded,
             "poly": _reproduce_poly}
-
-
-def cmd_reproduce(figure: str, writer: Writer, seed: int) -> dict:
-    if figure not in _FIGURES:
-        raise ConfigError(f"unknown figure {figure!r}; choose from "
-                          f"{', '.join(sorted(_FIGURES))}")
-    return _FIGURES[figure](writer, seed)
+_COMMANDS = {"simulate": cmd_simulate, "second-variation": cmd_second_variation,
+             "classify": cmd_classify}
 
 
 # --------------------------------------------------------------------------
@@ -642,24 +605,17 @@ def cmd_reproduce(figure: str, writer: Writer, seed: int) -> dict:
 
 
 def _run(args) -> int:
-    seed = args.seed
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        if seed is None and "seed" in cfg:
-            seed = int(cfg["seed"])
-    seed = 0 if seed is None else int(seed)
     writer = Writer(args.out)
     start = time.perf_counter()
     try:
-        if args.command == "simulate":
-            body = cmd_simulate(cfg, writer, seed)
-        elif args.command == "second-variation":
-            body = cmd_second_variation(cfg, writer, seed)
-        elif args.command == "classify":
-            body = cmd_classify(cfg, writer, seed)
-        else:
-            body = cmd_reproduce(args.figure, writer, seed)
+        cfg, seed = {}, args.seed
+        if args.config:
+            cfg = load_config(args.config)
+            if seed is None and "seed" in cfg:
+                seed = _as_int(cfg["seed"], "seed")
+        seed = 0 if seed is None else seed
+        body = (_FIGURES[args.figure](writer) if args.command == "reproduce"
+                else _COMMANDS[args.command](cfg, writer, seed))
         elapsed = time.perf_counter() - start
         report = {"experiment": cfg.get("experiment",
                                         getattr(args, "figure", None) or args.command),
@@ -667,11 +623,11 @@ def _run(args) -> int:
                   "seed": seed, **body}
         report["artifacts"] = sorted(p.name for p in writer.paths)
         writer.json("report.json", report)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or the library rejecting an argument
         writer.cleanup()
         print(f"vnag: config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         writer.cleanup()
         print(f"vnag: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -700,12 +656,7 @@ def main(argv=None) -> int:
         if name == "reproduce":
             p.add_argument("--figure", required=True,
                            choices=sorted(_FIGURES), help="experiment to run")
-    args = parser.parse_args(argv)
-    try:
-        return _run(args)
-    except ConfigError as exc:
-        print(f"vnag: config error: {exc}", file=sys.stderr)
-        return 2
+    return _run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -34,9 +34,17 @@ _CHUNK = 4096  # steps x directions per scan chunk; bounds the propagator's memo
 
 @dataclass(frozen=True)
 class Vanishing:
-    """Damping coefficient c/t (default c = 3); only defined for t > 0."""
+    """Damping coefficient c/t (default c = 3); only defined for t > 0.
+
+    c must be finite.  c <= 0 is accepted: the weight t^c stays positive
+    for t > 0, so the Legendre condition still holds.
+    """
 
     c: float = 3.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError("c must be finite")
 
     def coefficient(self, t):
         return self.c / t
@@ -45,8 +53,9 @@ class Vanishing:
         return 1.0
 
     def weight(self, t):
-        """Lagrangian time weight t^c."""
-        return np.power(t, self.c)
+        """Lagrangian time weight t^c; it may overflow to inf."""
+        with np.errstate(over="ignore"):
+            return np.power(t, self.c)
 
     def descriptor(self) -> dict:
         return {"kind": "vanishing", "c": self.c}
@@ -238,11 +247,11 @@ def _propagate(dampf, qfn, y0, u0, t1: float, t2: float, n_steps: int):
     return ys, us
 
 
-def _check_interval(damping, t1: float, t2: float, n_steps: int):
-    if not t1 < t2:
-        raise ValueError("need t1 < t2")
-    if n_steps < 2:
-        raise ValueError("need n_steps >= 2")
+def _check_interval(damping, t1: float, t2: float):
+    """The one time-window rule: finite t1 < t2, and t1 > 0 under vanishing
+    damping (c/t and the weight t^c are defined only for t > 0)."""
+    if not (math.isfinite(t1) and math.isfinite(t2) and t1 < t2):
+        raise ValueError(f"need finite t1 < t2, got [{t1}, {t2}]")
     if isinstance(damping, Vanishing) and t1 <= 0:
         raise ValueError("vanishing damping requires t1 > 0")
 
@@ -275,7 +284,9 @@ def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0,
                    t1: float, t2: float, n_steps: int) -> Trajectory:
     """Integrate X'' + d(t) X' + s(t) grad f(X) = 0 from (x0, v0), with
     d = damping.coefficient and s = damping.force."""
-    _check_interval(damping, t1, t2, n_steps)
+    _check_interval(damping, t1, t2)
+    if n_steps < 2:
+        raise ValueError("need n_steps >= 2")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if v0.size != x0.size or x0.size != pot.dim:
@@ -297,7 +308,9 @@ def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0,
 def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
                             n_steps: int) -> Trajectory:
     """Integrate the first-order flow X' = -grad f(X) by RK4; v holds X'."""
-    _check_interval(None, t1, t2, n_steps)
+    _check_interval(None, t1, t2)
+    if n_steps < 2:
+        raise ValueError("need n_steps >= 2")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != pot.dim:
         raise ValueError("x0 dimension mismatch with potential")

@@ -1,4 +1,8 @@
-"""Exception types shared across the library and the CLI."""
+"""Exception types shared across the library and the CLI.
+
+The library raises `ValueError` only to reject its arguments (CLI exit code 2)
+and `NumericalError` when it produces unusable numbers (exit code 3).
+"""
 
 
 class NumericalError(RuntimeError):

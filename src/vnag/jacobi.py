@@ -20,8 +20,8 @@ import numpy as np
 
 from .action import LagrangianSpec, second_variation
 from .bessel import bessel_j1, bessel_y1
-from .dynamics import (Constant, Trajectory, Vanishing, _linear_chunks, _propagate,
-                       _step_maps, damping_regime)
+from .dynamics import (Constant, Trajectory, Vanishing, _check_interval, _linear_chunks,
+                       _propagate, _step_maps, damping_regime)
 from .errors import NumericalError
 from .perturbations import triangle
 from .potentials import Polynomial1D, QuadraticDiagonal
@@ -190,6 +190,8 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
     s = s_a
     while s < s_end:
         s_b = min(s + ds, s_end)
+        if s_b == s:
+            raise NumericalError(f"root scan step below one ulp at s = {s}")
         w_b = w(s_b)
         if w_a == 0.0:
             roots.append(s_a / rb)
@@ -233,6 +235,8 @@ def _shoot(dampf, qfn, t1: float, t2: float, n_steps: int, first_only: bool = Fa
     n_steps RK4 steps.  With first_only the march stops after the first chunk
     that holds a sign change, so its cost follows the first zero, not t2."""
     h = (t2 - t1) / n_steps
+    if t1 + h == t1:
+        raise NumericalError(f"RK4 step {h} below one ulp of t1 = {t1}")
     ys, us = [np.zeros(1)], [np.ones(1)]
     for _, y, u in _linear_chunks(dampf, qfn, ys[0], us[0], t1, h, n_steps):
         ys.append(y[:, 0])
@@ -250,6 +254,7 @@ def jacobi_solution(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     Every other solution vanishing at t1 is a scalar multiple (the equation
     is linear), so a fan of initial slopes is just this solution rescaled.
     """
+    _check_interval(spec.damping, t1, t2)
     lam = float(eigen_lambda)
     ys, us = _propagate(spec.damping.coefficient, lambda t: lam, np.zeros(1), np.ones(1),
                         t1, t2, n_steps)
@@ -260,10 +265,9 @@ def conjugate_points_shooting(spec: LagrangianSpec, eigen_lambda: float,
                               t1: float, t2: float,
                               n_steps: int = 20000) -> ConjugateReport:
     """All times in (t1, t2) conjugate to t1, by shooting h(t1)=0, h'(t1)=1."""
+    _check_interval(spec.damping, t1, t2)
     if n_steps < 1000:
         raise ValueError("need n_steps >= 1000")
-    if isinstance(spec.damping, Vanishing) and t1 <= 0:
-        raise ValueError("need t1 > 0 for vanishing damping")
     lam = float(eigen_lambda)
     zeros = _shoot(spec.damping.coefficient, lambda t: lam, t1, t2, n_steps)
     return ConjugateReport(lam, t1, t2, tuple(zeros), "shooting")
@@ -271,6 +275,7 @@ def conjugate_points_shooting(spec: LagrangianSpec, eigen_lambda: float,
 
 def conjugate_points_bessel(beta: float, t1: float, t2: float) -> ConjugateReport:
     """Conjugate times for vanishing damping 3/t from the Bessel condition."""
+    _check_interval(Vanishing(3.0), t1, t2)
     roots = [r for r in _cross_product_roots(beta, t1, t2) if t1 < r < t2]
     return ConjugateReport(float(beta), t1, t2, tuple(roots), "closed_form")
 
@@ -283,10 +288,9 @@ def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
     This is the only conjugate-point route available for non-quadratic
     potentials; the base trajectory must cover [t1, t2].
     """
+    _check_interval(damping, t1, t2)
     if t1 < base.t1 - 1e-9 or t2 > base.t2 + 1e-9:
         raise ValueError("window outside the base trajectory")
-    if isinstance(damping, Vanishing) and t1 <= 0:
-        raise ValueError("need t1 > 0 for vanishing damping")
     zeros = _shoot(damping.coefficient,
                    lambda t: pot.second_deriv(base.sample(np.clip(t, base.t1, base.t2))[0]),
                    t1, t2, n_steps)
@@ -308,16 +312,16 @@ def first_conjugate_time(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     it); other c values shoot over the same span, up to the first zero.
     """
     lam = float(eigen_lambda)
-    if lam <= 0:
-        raise ValueError("eigen_lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("eigen_lambda must be positive and finite")
     damping = spec.damping
+    cap = t1 + _SEARCH_SPAN / math.sqrt(lam)
+    # the searched window: [t1, t_max], or [t1, cap] without one
+    _check_interval(damping, t1, cap if t_max is None else t_max)
     if isinstance(damping, Constant):
         if damping.alpha >= 2.0 * math.sqrt(lam) - 1e-12:
             return None
         return t1 + 2.0 * math.pi / math.sqrt(4.0 * lam - damping.alpha ** 2)
-    if t1 <= 0:
-        raise ValueError("need t1 > 0 for vanishing damping")
-    cap = t1 + _SEARCH_SPAN / math.sqrt(lam)
     if t_max is not None:
         cap = max(cap, t_max)
     if damping.c == 3.0:
@@ -338,8 +342,7 @@ def classify(pot: QuadraticDiagonal, damping, t1: float, t2: float) -> Classific
     """
     if not isinstance(pot, QuadraticDiagonal):
         raise ValueError("classification needs a diagonal quadratic potential")
-    if not t1 < t2:
-        raise ValueError("need t1 < t2")
+    _check_interval(damping, t1, t2)
     spec = LagrangianSpec(damping, pot)
     taus = [first_conjugate_time(spec, lam, t1, t_max=t2) for lam in pot.eigenvalues]
     inside = [(tau, lam) for tau, lam in zip(taus, pot.eigenvalues)
@@ -400,8 +403,9 @@ def sinusoid_d2j_closed(t1: float, t2: float, k: int, sigma: float = 1.0) -> flo
 
     Negative exactly when T > sqrt(2) k pi.
     """
-    if not t1 < t2 or k < 1:
-        raise ValueError("need t1 < t2 and k >= 1")
+    _check_interval(None, t1, t2)
+    if k < 1:
+        raise ValueError("need k >= 1")
     span = t2 - t1
     kk = (k * math.pi) ** 2
     num = math.exp(t1) * math.expm1(span) * kk * (2.0 * kk - span * span)
@@ -415,16 +419,18 @@ def saddle_witness(beta: float, t1: float, t2: float,
     Returns two centered triangle probes with second variations of opposite
     sign (small half-width positive, large negative), or None when the
     interval is too short to admit the negative-direction probe.
+    NumericalError when eps* is not finite (beta c^2 overflows).
     """
-    if not 0 < t1 < t2:
-        raise ValueError("need 0 < t1 < t2")
+    damping = Vanishing(3.0)
+    _check_interval(damping, t1, t2)
     c = 0.5 * (t1 + t2)
     eps_max = 0.5 * (t2 - t1)
     star = epsilon_star(beta * c * c, beta)
+    if not math.isfinite(star):
+        raise NumericalError(f"epsilon* is not finite: beta={beta}, [{t1}, {t2}]")
     if star >= eps_max * (1.0 - 1e-9):
         return None
-    pot = QuadraticDiagonal([beta])
-    spec = LagrangianSpec(Vanishing(3.0), pot)
+    spec = LagrangianSpec(damping, QuadraticDiagonal([beta]))
     out = {}
     for label, eps in (("small", 0.5 * min(star, eps_max)),
                        ("large", 0.5 * (star + eps_max))):

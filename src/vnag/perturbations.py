@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _check_interval
 
 # Corner-blend shape coefficients.  The triangle's corners are replaced on
 # windows of half-width delta by quartic arcs whose slope profile preserves
@@ -163,6 +163,7 @@ def triangle(c: float, eps: float, t1: float, t2: float,
 
     delta is the blend half-width, default eps/1000 (must be <= eps/100).
     """
+    _check_interval(None, t1, t2)
     if not (t1 < c - eps and c + eps < t2):
         raise ValueError("need eps < min(c - t1, t2 - c)")
     if delta is None:
@@ -176,10 +177,9 @@ def triangle(c: float, eps: float, t1: float, t2: float,
 
 def sinusoid(k: int, t1: float, t2: float) -> Perturbation:
     """h(t) = sin(k pi (t - t1) / (t2 - t1)) for integer k >= 1."""
+    _check_interval(None, t1, t2)
     if int(k) != k or k < 1:
         raise ValueError("k must be an integer >= 1")
-    if not t1 < t2:
-        raise ValueError("need t1 < t2")
     return Perturbation("sinusoid", t1, t2, params=(int(k),))
 
 
@@ -191,12 +191,11 @@ def fourier_sine(seed: int, n_modes: int, decay: float,
     `seed`, scaled by k^(-decay); the same arguments always reproduce the
     same curve.
     """
+    _check_interval(None, t1, t2)
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if decay <= 0:
         raise ValueError("decay must be positive")
-    if not t1 < t2:
-        raise ValueError("need t1 < t2")
     rng = np.random.default_rng(int(seed))
     raw = rng.standard_normal(int(n_modes))
     coeffs = tuple(float(a) * float(k) ** (-decay)

@@ -32,10 +32,10 @@ def test_action_constant_curve_is_zero():
 
 
 def test_action_free_motion():
-    # integral of t^3 / 2 over [1, 2] = 15/8
-    spec = LagrangianSpec(Vanishing(3.0), QuadraticDiagonal([1.0]), zero_potential=True)
+    # integral of t^3 / 2 over [1, 2] = 15/8; x = x* makes f = 0
+    spec = LagrangianSpec(Vanishing(3.0), QuadraticDiagonal([1.0]))
     t = np.linspace(1.0, 2.0, 101)
-    curve = Trajectory(t, t.copy(), np.ones_like(t))
+    curve = Trajectory(t, np.zeros_like(t), np.ones_like(t))
     assert action(spec, curve) == pytest.approx(15.0 / 8.0, abs=1e-12)
 
 
@@ -65,12 +65,13 @@ def test_action_rejects_nonuniform():
 
 def test_simpson_fourth_order():
     # smooth non-polynomial integrand: error drops ~16x per grid doubling
-    spec = LagrangianSpec(Constant(0.0), QuadraticDiagonal([1.0]), zero_potential=True)
+    # x = x* makes f = 0: the integrand is exp(2t) / 2
+    spec = LagrangianSpec(Constant(0.0), QuadraticDiagonal([1.0]))
     exact = (math.exp(2.0) - 1.0) / 4.0
 
     def err(n):
         t = np.linspace(0.0, 1.0, n + 1)
-        curve = Trajectory(t, np.exp(t), np.exp(t))
+        curve = Trajectory(t, np.zeros_like(t), np.exp(t))
         return abs(action(spec, curve) - exact)
 
     ratio = err(8) / err(16)

@@ -1,7 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnag.cli import main
 
@@ -83,6 +87,8 @@ def test_invalid_values_rejected(tmp_path):
         {**base, "interval": "nope"},
         {**base, "initial": {"x0": "bad"}},
         {**base, "integration": {"n_steps": 2.5}},
+        {**base, "integration": {"n_steps": 2}},
+        *({**base, "seed": seed} for seed in ("abc", None, [1], 1.5, True)),
     ]
     for i, cfg in enumerate(bad_cfgs):
         path = _write_cfg(tmp_path / f"bad{i}.json", cfg)
@@ -96,7 +102,10 @@ def test_invalid_perturbations_rejected(tmp_path):
             "interval": {"t1": 0.0, "t2": 7.0}}
     for i, probes in enumerate(["zzz", [{"kind": "sinusoid", "k": 1.5}],
                                 [{"kind": "triangle", "c": 1.0, "eps": 3.0}],
-                                [{"kind": "sinusoid", "k": 1, "bogus": 1}]]):
+                                [{"kind": "sinusoid", "k": 1, "bogus": 1}],
+                                [{"kind": "sinusoid", "k": 1, "component": 5}],
+                                [{"kind": "sinusoid", "k": 1, "component": -1}],
+                                [{"kind": "sinusoid", "k": []}]]):
         path = _write_cfg(tmp_path / f"p{i}.json", {**base, "perturbations": probes})
         assert main(["second-variation", "--config", path, "--out",
                      str(tmp_path / f"po{i}")]) == 2
@@ -164,7 +173,9 @@ def test_non_finite_input_rejected(tmp_path, field, value):
     {"lengths": [-1.0]},
     {"t1": [-1.0]},
     {"alpha": 1.0},
-], ids=["negative_alpha", "negative_length", "negative_start", "scalar_alpha"])
+    {"lengths": []},
+], ids=["negative_alpha", "negative_length", "negative_start", "scalar_alpha",
+        "empty_lengths"])
 def test_bad_sweep_rejected(tmp_path, sweep):
     cfg = _write_cfg(tmp_path / "cfg.json", {**_CLASSIFY, "sweep": sweep})
     out = tmp_path / "out"
@@ -258,7 +269,7 @@ def test_classify_constant_alpha_sweep(tmp_path):
     assert recs[1]["classification"]["verdict"] == "minimizer"
 
 
-def test_reproduce_unknown_figure(tmp_path):
+def test_reproduce_fig1_opposite_signs(tmp_path):
     assert main(["reproduce", "--figure", "fig1", "--out",
                  str(tmp_path / "a")]) == 0
     rep = _report(tmp_path / "a")
@@ -267,6 +278,40 @@ def test_reproduce_unknown_figure(tmp_path):
     assert vals["large_eps"]["d2j_quadrature"] < 0
     assert (vals["small_eps"]["delta_action"] > 0
             > vals["large_eps"]["delta_action"])
+
+
+def test_reproduce_unknown_figure(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--figure", "fig9", "--out", str(tmp_path / "a")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5),  # malformed config
+    ("interval", {"t1": 5.0, "t2": 1.0}),  # range rejected by the library
+], ids=["fractional_seed", "reversed_window"])
+def test_rejected_config_creates_no_directory(tmp_path, field, value):
+    cfg = _write_cfg(tmp_path / "cfg.json", {**_CLASSIFY, field: value})
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # beta c^2 overflows in the saddle witness
+    ("classify", {**_CLASSIFY, "interval": {"t1": 1.0, "t2": 1e300}}),
+    # e^(t2 - t1) overflows in the sinusoid closed form
+    ("second-variation", {"potential": {"kind": "quadratic", "eigenvalues": [1.0]},
+                          "damping": {"kind": "constant", "alpha": 1.0},
+                          "interval": {"t1": -1000.0, "t2": 6.0},
+                          "perturbations": [{"kind": "sinusoid", "k": 1}]}),
+], ids=["witness", "sinusoid_closed_form"])
+def test_overflow_exit_code(tmp_path, command, cfg):
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(out)]) == 3
+    assert not list(out.glob("*"))
 
 
 def test_determinism_with_fourier(tmp_path):
@@ -291,3 +336,63 @@ def test_determinism_with_fourier(tmp_path):
     rep_c = _report(out_c)
     assert (rep_a["results"]["table"][0]["d2j_quadrature"]
             != rep_c["results"]["table"][0]["d2j_quadrature"])
+
+
+# every fuzzed config field draws from its valid values and from these
+_ODD = (0, -1.0, 1e300, -1e300, "nan", "inf", "x", [], [1], None, True)
+
+
+def _or_odd(valid):
+    # one field in eight is odd, so most configs get past their first field
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(_ODD) if i == 0 else valid)
+
+
+def _pick(*valid):
+    return _or_odd(st.sampled_from(valid))
+
+
+def _obj(**fields):
+    return _or_odd(st.fixed_dictionaries(
+        {k: v if isinstance(v, st.SearchStrategy) else st.just(v) for k, v in fields.items()}))
+
+
+_COMMON = {
+    "potential": st.one_of(_obj(kind="quadratic", eigenvalues=_pick([1.0], [0.5, 4.0])),
+                           _obj(kind="polynomial", a=_pick(1.0), p=_pick(4))),
+    "damping": st.one_of(_obj(kind="vanishing", c=_pick(3.0, 2.5)),
+                         _obj(kind="constant", alpha=_pick(1.0, 3.0))),
+    "interval": _obj(t1=_pick(1.0, 0.5), t2=_pick(6.0, 9.0)),
+    "seed": _pick(7),
+}
+_PROBE = st.one_of(
+    _obj(kind="triangle", c=_pick(3.0), eps=_pick(1.0, [0.5, 2.0]), sigma=_pick(1.0),
+         component=_pick(0, 1)),
+    _obj(kind="sinusoid", k=_pick(1, [1, 2])),
+    _obj(kind="fourier", n_modes=_pick(3), decay=_pick(1.5), seed=_pick(5)))
+_FUZZ = {
+    "simulate": st.fixed_dictionaries({
+        **_COMMON, "integration": _obj(n_steps=_pick(8, 64)),
+        "initial": _obj(x0=_pick([1.0], [1.0, -1.0]), v0=_pick([0.0]))}),
+    "second-variation": st.fixed_dictionaries({
+        **_COMMON, "integration": _obj(n_steps=_pick(64, 256)),
+        "perturbations": _or_odd(st.lists(_PROBE, min_size=1, max_size=2))}),
+    "classify": st.fixed_dictionaries({
+        **_COMMON, "sweep": _or_odd(st.fixed_dictionaries({}, optional={
+            "lengths": _pick([1.0, 5.0]), "t1": _pick([0.5, 2.0]),
+            "alpha": _pick([0.5, 2.5])}))}),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_FUZZ)))
+def test_cli_fuzz(data, command):
+    # no input may leak a traceback: exit 0, 2 (bad config) or 3 (numerical
+    # failure), and a failed run leaves no files behind
+    cfg = data.draw(_FUZZ[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = main([command, "--config", _write_cfg(Path(tmp) / "cfg.json", cfg),
+                     "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code:
+            assert not [p for p in out.rglob("*") if p.is_file()]

@@ -180,6 +180,9 @@ def test_preconditions():
     for alpha in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             Constant(alpha)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Vanishing(c)
 
 
 def test_csv_roundtrip():

@@ -14,7 +14,8 @@ from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   jacobi_closed_constant, jacobi_closed_vanishing,
                   saddle_witness, second_variation, sinusoid_d2j_closed,
                   triangle, triangle_d2j_closed)
-from vnag import NumericalError, dynamics, jacobi_solution
+from vnag import (NumericalError, dynamics, fourier_sine, integrate_gradient_flow,
+                  jacobi_solution, sinusoid)
 from vnag.jacobi import _zeros_from_grid
 
 
@@ -422,6 +423,62 @@ def test_saddle_witness():
     for key in ("small", "large"):
         closed = w[key]["d2j_closed_form"]
         assert abs(w[key]["d2j_quadrature"] - closed) <= 1e-4 * abs(closed)
+
+
+def test_saddle_witness_overflow():
+    # on [1, 1e300] beta c^2 overflows and eps* is not finite
+    with pytest.raises(NumericalError):
+        saddle_witness(1.0, 1.0, 1e300)
+
+
+def test_window_rule_at_every_entry_point():
+    # finite t1 < t2, and t1 > 0 under c/t damping, wherever a window is taken
+    pot = QuadraticDiagonal([1.0])
+    spec = _vspec()
+    base = integrate_flow(Polynomial1D(1.0, 4), Vanishing(3.0), [1.0], [0.0], 0.5, 9.0, 2000)
+    calls = [
+        lambda a, b: integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], a, b, 100),
+        lambda a, b: integrate_gradient_flow(pot, [1.0], a, b, 100),
+        lambda a, b: jacobi_solution(spec, 1.0, a, b, 100),
+        lambda a, b: conjugate_points_shooting(spec, 1.0, a, b),
+        lambda a, b: conjugate_points_bessel(1.0, a, b),
+        lambda a, b: conjugate_points_along(base, Polynomial1D(1.0, 4), Vanishing(3.0), a, b),
+        lambda a, b: first_conjugate_time(spec, 1.0, a, t_max=b),
+        lambda a, b: first_conjugate_time(_cspec(1.0), 1.0, a, t_max=b),
+        lambda a, b: classify(pot, Vanishing(3.0), a, b),
+        lambda a, b: saddle_witness(1.0, a, b),
+        lambda a, b: sinusoid(1, a, b),
+        lambda a, b: fourier_sine(0, 3, 1.5, a, b),
+        lambda a, b: triangle(3.0, 1.0, a, b),
+        lambda a, b: sinusoid_d2j_closed(a, b, 1),
+    ]
+    windows = [(1.0, math.inf), (1.0, math.nan), (math.nan, 9.0), (-math.inf, 9.0),
+               (5.0, 1.0), (2.0, 2.0)]
+    for call in calls:
+        for a, b in windows:
+            with pytest.raises(ValueError):
+                call(a, b)
+    for a in (math.nan, math.inf):  # t1 alone, without t_max
+        with pytest.raises(ValueError):
+            first_conjugate_time(spec, 1.0, a)
+        with pytest.raises(ValueError):
+            first_conjugate_time(_cspec(1.0), 1.0, a)
+    # t1 <= 0 under vanishing damping only
+    for call in [calls[i] for i in (0, 2, 3, 4, 5, 6, 8, 9)]:
+        with pytest.raises(ValueError):
+            call(0.0, 9.0)
+    h = sinusoid(1, 0.0, 9.0)
+    with pytest.raises(ValueError):
+        second_variation(spec, 0.0, 9.0, h)
+    assert math.isfinite(second_variation(_cspec(1.0), 0.0, 9.0, h))
+
+
+def test_unresolvable_conjugate_time_raises():
+    # lam = 1e300: the first conjugate time lies within one ulp of t1, where
+    # the Bessel scan used to loop forever and shooting reported none
+    for c in (3.0, 2.5):
+        with pytest.raises(NumericalError):
+            classify(QuadraticDiagonal([1e300]), Vanishing(c), 1.0, 6.0)
 
 
 def test_quadrature_matches_triangle_closed_form():
