@@ -4,6 +4,9 @@ The Lagrangian family is w(t) * (0.5 |Y'|^2 - f(Y)) with time weight
 w(t) = t^c (vanishing damping c/t) or exp(alpha t) (constant damping).
 Quadrature is composite Simpson, split at the knot times of piecewise
 perturbations so every smooth piece is integrated at full fourth order.
+The variations evaluate the weight, the curve and the probe (h and h'
+together) once over the nodes of all spans, then sum each span's Simpson
+integral over its slice of that one integrand.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingSchedule, Trajectory, Vanishing, _check_interval
+from .dynamics import DampingSchedule, Trajectory, Vanishing, _check_interval, _check_steps
 from .potentials import Polynomial1D, Potential, QuadraticDiagonal
 
 
@@ -127,6 +130,25 @@ def _span_grids(t1: float, t2: float, inner_knots, n_steps: int):
         yield np.linspace(a, b, n + 1)
 
 
+def _span_nodes(t1: float, t2: float, inner_knots, n_steps: int):
+    """The nodes of every span's grid in one array (a knot shared by two
+    spans appears once in each), and each span's (start, stop, step)."""
+    grids = list(_span_grids(t1, t2, inner_knots, n_steps))
+    spans, start = [], 0
+    for g in grids:
+        spans.append((start, start + len(g), float(g[1] - g[0])))
+        start += len(g)
+    return np.concatenate(grids), spans
+
+
+def _span_simpson(vals: np.ndarray, spans) -> float:
+    """Sum of the composite-Simpson integrals of each span's slice of vals."""
+    total = 0.0
+    for i0, i1, step in spans:
+        total += _simpson(vals[i0:i1], step)
+    return total
+
+
 def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
                     n_steps: int = 4096) -> float:
     """delta J[Y; h] = int (L_Y . h + L_{Y'} . h') dt.
@@ -135,24 +157,21 @@ def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
     Euler-Lagrange equation.
     """
     spec._check_time(curve.t1)
+    _check_steps(n_steps, 1)
     _check_admissible(h, curve.t1, curve.t2, spec.pot.dim)
     comp = h.component
-    total = 0.0
-    for nodes in _span_grids(curve.t1, curve.t2, h.interior_knots(), n_steps):
-        xs, vs = curve.sample(nodes)
-        w = np.asarray(spec.weight(nodes), dtype=float)
-        hv = h.value(nodes)
-        hd = h.deriv(nodes)
-        g = spec.pot.grad_rows(xs)[:, comp]
-        integrand = w * (vs[:, comp] * hd - g * hv)
-        total += _simpson(integrand, float(nodes[1] - nodes[0]))
-    return float(total)
-
-
-def _q_values(spec: LagrangianSpec, nodes: np.ndarray, comp: int,
-              base: Trajectory | None) -> np.ndarray:
-    """Q(t) = L_YY - d/dt L_YY' along the relevant eigendirection."""
+    nodes, spans = _span_nodes(curve.t1, curve.t2, h.interior_knots(), n_steps)
+    xs, vs = curve.sample(nodes)
     w = np.asarray(spec.weight(nodes), dtype=float)
+    hv, hd = h._values(nodes)
+    g = spec.pot.grad_rows(xs)[:, comp]
+    return float(_span_simpson(w * (vs[:, comp] * hd - g * hv), spans))
+
+
+def _q_values(spec: LagrangianSpec, w: np.ndarray, nodes: np.ndarray, comp: int,
+              base: Trajectory | None) -> np.ndarray:
+    """Q(t) = L_YY - d/dt L_YY' along the relevant eigendirection, from the
+    weight w at the nodes."""
     if isinstance(spec.pot, QuadraticDiagonal):
         return -spec.pot.eigenvalues[comp] * w
     if isinstance(spec.pot, Polynomial1D):
@@ -171,19 +190,16 @@ def second_variation(spec: LagrangianSpec, t1: float, t2: float, h,
     needed; Polynomial1D requires `base` to evaluate f'' along it.
     """
     _check_interval(spec.damping, t1, t2)
+    _check_steps(n_steps, 1)
     _check_admissible(h, t1, t2, spec.pot.dim)
-    comp = h.component
-    total = 0.0
-    for nodes in _span_grids(t1, t2, h.interior_knots(), n_steps):
-        w = np.asarray(spec.weight(nodes), dtype=float)
-        q = _q_values(spec, nodes, comp, base)
-        hv = h.value(nodes)
-        hd = h.deriv(nodes)
-        # an overflowing weight makes d2J non-finite; callers check the result
-        with np.errstate(over="ignore", invalid="ignore"):
-            integrand = 0.5 * (w * hd * hd + q * hv * hv)
-            total += _simpson(integrand, float(nodes[1] - nodes[0]))
-    return float(total)
+    nodes, spans = _span_nodes(t1, t2, h.interior_knots(), n_steps)
+    w = np.asarray(spec.weight(nodes), dtype=float)
+    q = _q_values(spec, w, nodes, h.component, base)
+    hv, hd = h._values(nodes)
+    # an overflowing weight makes d2J non-finite; callers check the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = 0.5 * (w * hd * hd + q * hv * hv)
+        return float(_span_simpson(integrand, spans))
 
 
 def second_variation_report(spec: LagrangianSpec, t1: float, t2: float, h,

@@ -18,6 +18,11 @@ Four regions:
   truncation; at the crossover the truncation error is below 1e-16 of the
   envelope.
 
+`_j1_y1` returns the pair (J1, Y1) with one region dispatch, so callers
+that need both at one point (the conjugate-point search) pay for one series,
+one Hankel evaluation or one anchor lookup; its values are bit-identical to
+`bessel_j1` and `bessel_y1`, which is its Y1 half.
+
 Absolute error is about 1e-15 * max(1, |Y1|) on [0.01, 25], including
 next to the zeros, where the conjugate-point search needs it; the regions
 agree to better than 1e-12 at their seams (tested).  Accuracy target: 1e-10
@@ -162,8 +167,8 @@ def bessel_j1(x: float) -> float:
     return _asymptotic(x)[0]
 
 
-def bessel_y1(x: float) -> float:
-    """Bessel function of the second kind, order one; diverges as x -> 0+."""
+def _j1_y1(x: float) -> tuple[float, float]:
+    """(J1(x), Y1(x)) for x > 0 from one region dispatch."""
     x = float(x)
     if x <= 0:
         raise ValueError("bessel_y1 requires x > 0")
@@ -171,9 +176,16 @@ def bessel_y1(x: float) -> float:
         y = -(2.0 / math.pi) / x
         if math.isinf(y):
             raise NumericalError(f"bessel_y1({x!r}) overflows float64")
-        return y
+        return 0.5 * x, y
     if x < _SERIES_MAX:
-        return _series(x)[1]
+        j, y, _, _ = _series(x)
+        return j, y
     if x < _SWITCH:
-        return _taylor(x, _Y_COEFFS, int(x + 0.5))
-    return _asymptotic(x)[1]
+        x0 = int(x + 0.5)
+        return _taylor(x, _J_COEFFS, x0), _taylor(x, _Y_COEFFS, x0)
+    return _asymptotic(x)
+
+
+def bessel_y1(x: float) -> float:
+    """Bessel function of the second kind, order one; diverges as x -> 0+."""
+    return _j1_y1(x)[1]

@@ -56,6 +56,8 @@ def _need(d: dict, key: str, where: str):
 
 
 def _as_float(v, where: str) -> float:
+    if isinstance(v, bool):
+        raise ConfigError(f"{where} must be a number, got {v!r}")
     try:
         x = float(v)
     except (TypeError, ValueError) as exc:
@@ -78,6 +80,8 @@ def _floats(v, where: str) -> list:
 
 
 def _as_vector(v, where: str) -> np.ndarray:
+    if isinstance(v, bool) or (isinstance(v, list) and any(isinstance(x, bool) for x in v)):
+        raise ConfigError(f"{where} must be a numeric array, got {v!r}")
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -112,7 +116,9 @@ def build_potential(d: dict):
     kind = _need(d, "kind", "potential")
     if kind == "quadratic":
         _reject_unknown(d, {"kind", "eigenvalues", "xstar"}, "potential")
-        return QuadraticDiagonal(_need(d, "eigenvalues", "potential"), d.get("xstar"))
+        xstar = d.get("xstar")
+        return QuadraticDiagonal(_as_vector(_need(d, "eigenvalues", "potential"), "eigenvalues"),
+                                 None if xstar is None else _as_vector(xstar, "xstar"))
     if kind == "polynomial":
         _reject_unknown(d, {"kind", "a", "p", "xstar"}, "potential")
         return Polynomial1D(_as_float(_need(d, "a", "potential"), "a"),

@@ -256,6 +256,13 @@ def _check_interval(damping, t1: float, t2: float):
         raise ValueError("vanishing damping requires t1 > 0")
 
 
+def _check_steps(n_steps, minimum: int):
+    """The one step-count rule: an integer n_steps >= minimum."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) \
+            or n_steps < minimum:
+        raise ValueError(f"need an integer n_steps >= {minimum}, got {n_steps!r}")
+
+
 def _march(rhs: Callable, x: float, v: float, t1: float, h: float, n_steps: int):
     """Classical RK4 on one scalar state (x, v) with (x', v') = rhs(t, x, v),
     in Python floats; returns x and v, (n_steps + 1,) each, on the grid."""
@@ -285,8 +292,7 @@ def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0,
     """Integrate X'' + d(t) X' + s(t) grad f(X) = 0 from (x0, v0), with
     d = damping.coefficient and s = damping.force."""
     _check_interval(damping, t1, t2)
-    if n_steps < 2:
-        raise ValueError("need n_steps >= 2")
+    _check_steps(n_steps, 2)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if v0.size != x0.size or x0.size != pot.dim:
@@ -309,8 +315,7 @@ def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
                             n_steps: int) -> Trajectory:
     """Integrate the first-order flow X' = -grad f(X) by RK4; v holds X'."""
     _check_interval(None, t1, t2)
-    if n_steps < 2:
-        raise ValueError("need n_steps >= 2")
+    _check_steps(n_steps, 2)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != pot.dim:
         raise ValueError("x0 dimension mismatch with potential")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import LagrangianSpec, second_variation
-from .bessel import bessel_j1, bessel_y1
-from .dynamics import (Constant, Trajectory, Vanishing, _check_interval, _linear_chunks,
-                       _propagate, _step_maps, damping_regime)
+from .bessel import _j1_y1
+from .dynamics import (Constant, Trajectory, Vanishing, _check_interval, _check_steps,
+                       _linear_chunks, _propagate, _step_maps, damping_regime)
 from .errors import NumericalError
 from .perturbations import triangle
 from .potentials import Polynomial1D, QuadraticDiagonal
@@ -98,13 +98,14 @@ def jacobi_closed_vanishing(beta: float, t1: float, t: float) -> float:
         raise ValueError("need t1 > 0")
     rb = math.sqrt(beta)
     s1 = rb * t1
-    j1_s1, y1_s1 = bessel_j1(s1), bessel_y1(s1)
+    j1_s1, y1_s1 = _j1_y1(s1)
     if abs(j1_s1 * y1_s1) * (0.5 * math.pi * s1) <= 4.0 * math.ulp(s1):
         raise ValueError("closed form degenerates (J1(sqrt(beta) t1) ~ 0); use shooting")
     k = y1_s1 / j1_s1
     if math.isinf(k):
         raise NumericalError(f"Y1/J1 overflows at sqrt(beta) t1 = {s1!r}")
-    return bessel_y1(rb * t) / t - k * bessel_j1(rb * t) / t
+    j1, y1 = _j1_y1(rb * t)
+    return y1 / t - k * j1 / t
 
 
 def jacobi_closed_constant(alpha: float, beta: float, t1: float, t: float) -> float:
@@ -174,11 +175,11 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
     """
     rb = math.sqrt(beta)
     s1 = rb * t1
-    j1_s1 = bessel_j1(s1)
-    y1_s1 = bessel_y1(s1)
+    j1_s1, y1_s1 = _j1_y1(s1)
 
     def w(s):
-        return j1_s1 * bessel_y1(s) - y1_s1 * bessel_j1(s)
+        j1, y1 = _j1_y1(s)
+        return j1_s1 * y1 - y1_s1 * j1
 
     # Sturm comparison (u = s^{3/2} h solves u'' + (1 - 3/(4 s^2)) u = 0)
     # bounds consecutive zeros at least ~pi apart in s; pi/8 cannot skip one.
@@ -226,7 +227,8 @@ def _zeros_from_grid(t1: float, h: float, ys, us, dampf, qfn) -> list:
         m = _step_maps(dampf, qfn, np.array([t0]), tq - t0)
         return float(m[0][0, 0] * ys[i] + m[1][0, 0] * us[i])
 
-    return [_refine(lambda tq: h_from(i, tq), t1 + i * h, t1 + (i + 1) * h, ys[i], ys[i + 1])
+    return [float(_refine(lambda tq: h_from(i, tq), t1 + i * h, t1 + (i + 1) * h,
+                          ys[i], ys[i + 1]))
             for i in np.flatnonzero(change)]
 
 
@@ -255,6 +257,7 @@ def jacobi_solution(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     is linear), so a fan of initial slopes is just this solution rescaled.
     """
     _check_interval(spec.damping, t1, t2)
+    _check_steps(n_steps, 1)
     lam = float(eigen_lambda)
     ys, us = _propagate(spec.damping.coefficient, lambda t: lam, np.zeros(1), np.ones(1),
                         t1, t2, n_steps)
@@ -266,8 +269,7 @@ def conjugate_points_shooting(spec: LagrangianSpec, eigen_lambda: float,
                               n_steps: int = 20000) -> ConjugateReport:
     """All times in (t1, t2) conjugate to t1, by shooting h(t1)=0, h'(t1)=1."""
     _check_interval(spec.damping, t1, t2)
-    if n_steps < 1000:
-        raise ValueError("need n_steps >= 1000")
+    _check_steps(n_steps, 1000)
     lam = float(eigen_lambda)
     zeros = _shoot(spec.damping.coefficient, lambda t: lam, t1, t2, n_steps)
     return ConjugateReport(lam, t1, t2, tuple(zeros), "shooting")
@@ -289,6 +291,7 @@ def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
     potentials; the base trajectory must cover [t1, t2].
     """
     _check_interval(damping, t1, t2)
+    _check_steps(n_steps, 1000)
     if t1 < base.t1 - 1e-9 or t2 > base.t2 + 1e-9:
         raise ValueError("window outside the base trajectory")
     zeros = _shoot(damping.coefficient,
@@ -408,7 +411,13 @@ def sinusoid_d2j_closed(t1: float, t2: float, k: int, sigma: float = 1.0) -> flo
         raise ValueError("need k >= 1")
     span = t2 - t1
     kk = (k * math.pi) ** 2
-    num = math.exp(t1) * math.expm1(span) * kk * (2.0 * kk - span * span)
+    try:
+        # e^t2 - e^t1; expm1 keeps a short span free of cancellation
+        growth = math.exp(t1) * math.expm1(span)
+    except OverflowError:
+        # e^t1 or e^span overflowed; -e^t2 expm1(-span) overflows only with e^t2
+        growth = -math.exp(t2) * math.expm1(-span)
+    num = growth * kk * (2.0 * kk - span * span)
     return sigma * sigma * num / (2.0 * span * span * (4.0 * kk + span * span))
 
 

@@ -44,7 +44,9 @@ class Perturbation:
     """A displacement curve vanishing at both interval endpoints.
 
     `component` selects the coordinate axis the (scalar) profile acts on
-    when applied to multidimensional curves.
+    when applied to multidimensional curves.  h and h' are evaluated
+    together in one pass over the times (`_values`); `value` and `deriv`
+    each return one of the pair.
     """
 
     kind: str
@@ -58,80 +60,80 @@ class Perturbation:
     # ---- evaluation ----
 
     def value(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self.sigma * self._profile(t, deriv=False)
+        return self._values(t)[0]
 
     def deriv(self, t) -> np.ndarray:
+        return self._values(t)[1]
+
+    def _values(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(h(t), h'(t)) from one pass over t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self.sigma * self._profile(t, deriv=True)
-
-    def _profile(self, t: np.ndarray, deriv: bool) -> np.ndarray:
         if self.kind == "triangle":
-            return self._triangle(t, deriv)
-        if self.kind == "sinusoid":
-            return self._sinusoid(t, deriv)
-        if self.kind == "fourier":
-            return self._fourier(t, deriv)
-        raise ValueError(f"unknown perturbation kind {self.kind!r}")
+            hv, hd = self._triangle(t)
+        elif self.kind == "sinusoid":
+            hv, hd = self._sinusoid(t)
+        elif self.kind == "fourier":
+            hv, hd = self._fourier(t)
+        else:
+            raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        return self.sigma * hv, self.sigma * hd
 
-    def _triangle(self, t: np.ndarray, deriv: bool) -> np.ndarray:
+    def _triangle(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, eps, delta = self.params
-        out = np.zeros_like(t)
+        hv, hd = np.zeros_like(t), np.zeros_like(t)
         inv = 1.0 / eps
-        # rising and falling straight pieces
+        # straight pieces are closed intervals and blend windows open, so a
+        # knot belongs to the straight piece beside it
         rise = (t >= c - eps + delta) & (t <= c - delta)
         fall = (t >= c + delta) & (t <= c + eps - delta)
-        if deriv:
-            out[rise] = inv
-            out[fall] = -inv
-        else:
-            out[rise] = (t[rise] - (c - eps)) * inv
-            out[fall] = (c + eps - t[fall]) * inv
-        # blend windows
+        hd[rise] = inv
+        hd[fall] = -inv
+        hv[rise] = (t[rise] - (c - eps)) * inv
+        hv[fall] = (c + eps - t[fall]) * inv
         up = (t > c - eps - delta) & (t < c - eps + delta)
         ap = (t > c - delta) & (t < c + delta)
         dn = (t > c + eps - delta) & (t < c + eps + delta)
         if np.any(up):
             u = (t[up] - (c - eps)) / delta
-            out[up] = _g_up(u) * inv if deriv else (delta * inv) * _big_g_up(u)
+            hd[up] = _g_up(u) * inv
+            hv[up] = (delta * inv) * _big_g_up(u)
         if np.any(ap):
             u = (t[ap] - c) / delta
-            out[ap] = _g_apex(u) * inv if deriv else 1.0 - delta * inv + (delta * inv) * _big_g_apex(u)
+            hd[ap] = _g_apex(u) * inv
+            hv[ap] = 1.0 - delta * inv + (delta * inv) * _big_g_apex(u)
         if np.any(dn):
             u = (t[dn] - (c + eps)) / delta
-            out[dn] = -_g_up(-u) * inv if deriv else (delta * inv) * _big_g_up(-u)
-        return out
+            hd[dn] = -_g_up(-u) * inv
+            hv[dn] = (delta * inv) * _big_g_up(-u)
+        return hv, hd
 
-    def _sinusoid(self, t: np.ndarray, deriv: bool) -> np.ndarray:
+    def _sinusoid(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (k,) = self.params
         span = self.t2 - self.t1
         w = k * math.pi / span
         s = (t - self.t1) / span
         inside = (s > 0.0) & (s < 1.0)
-        out = np.zeros_like(t)
+        hv, hd = np.zeros_like(t), np.zeros_like(t)
         arg = w * (t[inside] - self.t1)
-        out[inside] = w * np.cos(arg) if deriv else np.sin(arg)
-        if deriv:
-            # h' does not vanish at the endpoints; only h is clamped to 0
-            at1 = s <= 0.0
-            at2 = s >= 1.0
-            out[at1] = w
-            out[at2] = w * math.cos(k * math.pi)
-        return out
+        hv[inside] = np.sin(arg)
+        hd[inside] = w * np.cos(arg)
+        # h' does not vanish at the endpoints; only h is clamped to 0
+        hd[s <= 0.0] = w
+        hd[s >= 1.0] = w * math.cos(k * math.pi)
+        return hv, hd
 
-    def _fourier(self, t: np.ndarray, deriv: bool) -> np.ndarray:
+    def _fourier(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         coeffs = self.params[3]
         span = self.t2 - self.t1
         s = (t - self.t1) / span
-        out = np.zeros_like(t)
-        inside = (s > 0.0) & (s < 1.0) if not deriv else np.ones_like(t, dtype=bool)
-        ti = t[inside]
-        acc = np.zeros_like(ti)
+        # h' is the mode sum everywhere; h is clamped to 0 outside (t1, t2)
+        acc_v, hd = np.zeros_like(t), np.zeros_like(t)
         for k, a in enumerate(coeffs, start=1):
             w = k * math.pi / span
-            acc += a * (w * np.cos(w * (ti - self.t1)) if deriv else np.sin(w * (ti - self.t1)))
-        out[inside] = acc
-        return out
+            arg = w * (t - self.t1)
+            acc_v += a * np.sin(arg)
+            hd += a * (w * np.cos(arg))
+        return np.where((s > 0.0) & (s < 1.0), acc_v, 0.0), hd
 
     # ---- derived quantities ----
 
@@ -140,7 +142,8 @@ class Perturbation:
         t = np.linspace(self.t1, self.t2, n_samples)
         if self.knots:
             t = np.sort(np.concatenate([t, np.asarray(self.knots)]))
-        return float(np.max(np.abs(self.value(t))) + np.max(np.abs(self.deriv(t))))
+        hv, hd = self._values(t)
+        return float(np.max(np.abs(hv)) + np.max(np.abs(hd)))
 
     def interior_knots(self) -> tuple:
         return tuple(k for k in self.knots if self.t1 < k < self.t2)
@@ -227,8 +230,9 @@ def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
     if not inner:
         x = base.x.copy()
         v = base.v.copy()
-        x[:, h.component] += h.value(base.t)
-        v[:, h.component] += h.deriv(base.t)
+        hv, hd = h._values(base.t)
+        x[:, h.component] += hv
+        v[:, h.component] += hd
         return Trajectory(base.t, x, v)
     bounds = [base.t1, *sorted(inner), base.t2]
     step = (base.t2 - base.t1) / (len(base.t) - 1)
@@ -241,6 +245,7 @@ def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
         pieces.append(seg if not pieces else seg[1:])
     t = np.concatenate(pieces)
     x, v = base.sample(t)
-    x[:, h.component] += h.value(t)
-    v[:, h.component] += h.deriv(t)
+    hv, hd = h._values(t)
+    x[:, h.component] += hv
+    v[:, h.component] += hd
     return Trajectory(t, x, v, knots=tuple(sorted(inner)))

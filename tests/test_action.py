@@ -1,13 +1,18 @@
+import dataclasses
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vnag import (Constant, LagrangianSpec, QuadraticDiagonal, Trajectory,
-                  Vanishing, action, first_variation, integrate_flow, lagrangian,
-                  perturb_curve, pq_coefficients, scale, second_variation,
+from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal, Trajectory,
+                  Vanishing, action, first_variation, fourier_sine, integrate_flow,
+                  lagrangian, perturb_curve, pq_coefficients, scale, second_variation,
                   sinusoid, triangle)
+from vnag.action import _simpson, _span_grids
 
 
 def _spec(beta=1.0, damping=None):
@@ -197,3 +202,90 @@ def test_second_variation_report_schema():
     assert rep["spec"]["potential"]["kind"] == "quadratic"
     import json
     json.dumps(rep)  # JSON-serializable as-is
+
+
+# ---------------------------------------------- one pass against the span loop
+
+
+def _second_variation_per_span(spec, t1, t2, h, n_steps, base=None):
+    """The span-by-span evaluation that second_variation replaced: weight, Q,
+    h and h' evaluated anew on each inter-knot span."""
+    total = 0.0
+    for nodes in _span_grids(t1, t2, h.interior_knots(), n_steps):
+        w = np.asarray(spec.weight(nodes), dtype=float)
+        if isinstance(spec.pot, QuadraticDiagonal):
+            q = -spec.pot.eigenvalues[h.component] * w
+        else:
+            q = -spec.pot.second_deriv(base.sample(nodes)[0][:, 0]) * w
+        hv = h.value(nodes)
+        hd = h.deriv(nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = 0.5 * (w * hd * hd + q * hv * hv)
+            total += _simpson(integrand, float(nodes[1] - nodes[0]))
+    return float(total)
+
+
+def _first_variation_per_span(spec, curve, h, n_steps):
+    """The span-by-span evaluation that first_variation replaced."""
+    comp = h.component
+    total = 0.0
+    for nodes in _span_grids(curve.t1, curve.t2, h.interior_knots(), n_steps):
+        xs, vs = curve.sample(nodes)
+        w = np.asarray(spec.weight(nodes), dtype=float)
+        hv = h.value(nodes)
+        hd = h.deriv(nodes)
+        g = spec.pot.grad_rows(xs)[:, comp]
+        integrand = w * (vs[:, comp] * hd - g * hv)
+        total += _simpson(integrand, float(nodes[1] - nodes[0]))
+    return float(total)
+
+
+_DAMPINGS = (Vanishing(3.0), Vanishing(2.5), Constant(0.7))
+
+
+@functools.lru_cache(maxsize=None)
+def _quartic_base(i):
+    """A quartic-potential flow covering every window drawn below."""
+    return integrate_flow(Polynomial1D(1.0, 4), _DAMPINGS[i], [1.2], [0.0], 0.2, 9.5, 4000)
+
+
+@st.composite
+def _probe_cases(draw):
+    i = draw(st.integers(0, len(_DAMPINGS) - 1))
+    t1 = draw(st.floats(0.2, 3.0))
+    t2 = t1 + draw(st.floats(1.0, 6.0))
+    kind = draw(st.sampled_from(["triangle", "sinusoid", "fourier"]))
+    if kind == "triangle":
+        c = t1 + (t2 - t1) * draw(st.floats(0.2, 0.8))
+        eps = min(c - t1, t2 - c) * draw(st.floats(0.05, 0.95))
+        delta = draw(st.one_of(st.none(), st.floats(1e-4, 1.0).map(lambda f: f * eps / 100.0)))
+        h = triangle(c, eps, t1, t2, delta=delta)
+    elif kind == "sinusoid":
+        h = sinusoid(draw(st.integers(1, 5)), t1, t2)
+    else:
+        h = fourier_sine(draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 8)),
+                         draw(st.floats(0.5, 2.5)), t1, t2)
+    h = scale(h, draw(st.floats(0.0, 20.0)))
+    quartic = draw(st.booleans())
+    if quartic:
+        pot = Polynomial1D(1.0, 4)
+    else:
+        pot = QuadraticDiagonal([draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))])
+        h = dataclasses.replace(h, component=draw(st.integers(0, 1)))
+    return LagrangianSpec(_DAMPINGS[i], pot), h, draw(st.integers(64, 4096)), quartic, i
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_probe_cases())
+def test_one_pass_variations_match_span_loop(case):
+    # bit-identical: the one-pass integrand is the span loop's, node for node
+    spec, h, n_steps, quartic, i = case
+    t1, t2 = h.t1, h.t2
+    base = _quartic_base(i) if quartic else None
+    assert (second_variation(spec, t1, t2, h, n_steps=n_steps, base=base)
+            == _second_variation_per_span(spec, t1, t2, h, n_steps, base))
+    x0 = [1.2] if quartic else [1.0, -0.5]
+    curve = integrate_flow(spec.pot, spec.damping, x0, np.zeros(len(x0)), t1, t2, 200)
+    curve = perturb_curve(curve, scale(h, 0.5))
+    assert (first_variation(spec, curve, h, n_steps=n_steps)
+            == _first_variation_per_span(spec, curve, h, n_steps))

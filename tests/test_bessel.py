@@ -106,3 +106,36 @@ def test_leading_asymptotic_envelope():
     # absolute form of the same check at x = 50
     assert abs(bessel_y1(50.0)
                - math.sqrt(2 / (math.pi * 50)) * math.sin(50 - 0.75 * math.pi)) <= 2e-2
+
+
+def _y1_single(x):
+    """Y1 by its own region dispatch, as bessel_y1 evaluated it before it
+    became the Y1 half of the pair evaluator."""
+    from vnag.bessel import (_SERIES_MAX, _TINY, _Y_COEFFS, _asymptotic, _series,
+                             _taylor)
+    if x < _TINY:
+        return -(2.0 / math.pi) / x
+    if x < _SERIES_MAX:
+        return _series(x)[1]
+    if x < _SWITCH:
+        return _taylor(x, _Y_COEFFS, int(x + 0.5))
+    return _asymptotic(x)[1]
+
+
+def test_pair_evaluator_is_bit_identical():
+    # at each region seam (and one ulp either side) and at random points
+    from vnag.bessel import _ANCHORS, _SERIES_MAX, _TINY, _j1_y1
+    seams = [_TINY, _SERIES_MAX, *(x0 + 0.5 for x0 in _ANCHORS[:-1]), _SWITCH]
+    xs = [q for s in seams for q in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))]
+    rng = np.random.default_rng(20211)
+    xs += [1e-300, 5e-300, 1e-20, 3.0, 12.0, 1e3, 1e8]
+    xs += np.exp(rng.uniform(math.log(1e-12), math.log(1e3), 3000)).tolist()
+    xs += rng.uniform(0.0, 25.0, 2000).tolist()
+    for x in xs:
+        pair = _j1_y1(x)
+        assert pair == (bessel_j1(x), bessel_y1(x)) == (bessel_j1(x), _y1_single(x)), x
+        assert all(type(v) is float for v in pair)
+    with pytest.raises(ValueError):
+        _j1_y1(0.0)
+    with pytest.raises(NumericalError):
+        _j1_y1(5e-324)

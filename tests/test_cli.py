@@ -83,6 +83,9 @@ def test_invalid_values_rejected(tmp_path):
         {**base, "potential": {"kind": "polynomial", "a": 1.0, "p": 3}},
         {**base, "damping": {"kind": "nonsense"}},
         {**base, "damping": {"kind": "constant", "alpha": "z"}},
+        {**base, "damping": {"kind": "constant", "alpha": True}},
+        {**base, "potential": {"kind": "quadratic", "eigenvalues": [1.0, True]}},
+        {**base, "initial": {"x0": [False]}},
         {**base, "interval": {"t1": 2, "t2": 1}},
         {**base, "interval": "nope"},
         {**base, "initial": {"x0": "bad"}},
@@ -109,6 +112,12 @@ def test_invalid_perturbations_rejected(tmp_path):
         path = _write_cfg(tmp_path / f"p{i}.json", {**base, "perturbations": probes})
         assert main(["second-variation", "--config", path, "--out",
                      str(tmp_path / f"po{i}")]) == 2
+    for i, n_steps in enumerate([-1, 0]):
+        path = _write_cfg(tmp_path / f"n{i}.json", {
+            **base, "perturbations": [{"kind": "sinusoid", "k": 1}],
+            "integration": {"n_steps": n_steps}})
+        assert main(["second-variation", "--config", path, "--out",
+                     str(tmp_path / f"no{i}")]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -301,10 +310,10 @@ def test_rejected_config_creates_no_directory(tmp_path, field, value):
 @pytest.mark.parametrize("command, cfg", [
     # beta c^2 overflows in the saddle witness
     ("classify", {**_CLASSIFY, "interval": {"t1": 1.0, "t2": 1e300}}),
-    # e^(t2 - t1) overflows in the sinusoid closed form
+    # e^t1 and e^t2 overflow in the sinusoid closed form
     ("second-variation", {"potential": {"kind": "quadratic", "eigenvalues": [1.0]},
                           "damping": {"kind": "constant", "alpha": 1.0},
-                          "interval": {"t1": -1000.0, "t2": 6.0},
+                          "interval": {"t1": 710.0, "t2": 716.0},
                           "perturbations": [{"kind": "sinusoid", "k": 1}]}),
 ], ids=["witness", "sinusoid_closed_form"])
 def test_overflow_exit_code(tmp_path, command, cfg):

@@ -14,8 +14,8 @@ from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   jacobi_closed_constant, jacobi_closed_vanishing,
                   saddle_witness, second_variation, sinusoid_d2j_closed,
                   triangle, triangle_d2j_closed)
-from vnag import (NumericalError, dynamics, fourier_sine, integrate_gradient_flow,
-                  jacobi_solution, sinusoid)
+from vnag import (NumericalError, dynamics, first_variation, fourier_sine,
+                  integrate_gradient_flow, jacobi_solution, sinusoid)
 from vnag.jacobi import _zeros_from_grid
 
 
@@ -393,6 +393,15 @@ def test_sinusoid_closed_form():
         thr = math.sqrt(2.0) * k * math.pi
         assert sinusoid_d2j_closed(0.0, thr * 1.05, k) < 0
         assert sinusoid_d2j_closed(0.0, thr * 0.95, k) > 0
+    # e^(t2 - t1) overflows on [-1000, 6], but e^t2 - e^t1 does not
+    with mp.workdps(30):
+        t1, t2 = mp.mpf(-1000), mp.mpf(6)
+        span, kk = t2 - t1, mp.pi ** 2
+        exact = ((mp.e ** t2 - mp.e ** t1) * kk * (2 * kk - span ** 2)
+                 / (2 * span ** 2 * (4 * kk + span ** 2)))
+    assert sinusoid_d2j_closed(-1000.0, 6.0, 1) == pytest.approx(float(exact), rel=1e-13)
+    with pytest.raises(OverflowError):  # e^t1 and e^t2 both overflow
+        sinusoid_d2j_closed(710.0, 716.0, 1)
 
 
 def test_sign_change_bracket():
@@ -471,6 +480,38 @@ def test_window_rule_at_every_entry_point():
     with pytest.raises(ValueError):
         second_variation(spec, 0.0, 9.0, h)
     assert math.isfinite(second_variation(_cspec(1.0), 0.0, 9.0, h))
+
+
+def test_step_count_rule_at_every_entry_point():
+    # an integer n_steps at or above each entry point's floor
+    pot = QuadraticDiagonal([1.0])
+    spec = _vspec()
+    base = integrate_flow(Polynomial1D(1.0, 4), Vanishing(3.0), [1.0], [0.0], 0.5, 9.0, 2000)
+    curve = integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 1.0, 9.0, 100)
+    h = sinusoid(1, 1.0, 9.0)
+    calls = [
+        (2, lambda n: integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 1.0, 9.0, n)),
+        (2, lambda n: integrate_gradient_flow(pot, [1.0], 1.0, 9.0, n)),
+        (1, lambda n: jacobi_solution(spec, 1.0, 1.0, 5.0, n)),
+        (1000, lambda n: conjugate_points_shooting(spec, 1.0, 1.0, 5.0, n)),
+        (1000, lambda n: conjugate_points_along(base, Polynomial1D(1.0, 4), Vanishing(3.0),
+                                                1.0, 5.0, n)),
+        (1, lambda n: second_variation(spec, 1.0, 9.0, h, n)),
+        (1, lambda n: first_variation(spec, curve, h, n)),
+    ]
+    for floor, call in calls:
+        call(floor)
+        for n in (floor - 1, 0, -1, float(floor), True, None):
+            with pytest.raises(ValueError):
+                call(n)
+
+
+def test_shooting_route_returns_python_floats():
+    spec = LagrangianSpec(Vanishing(2.5), QuadraticDiagonal([1.0]))
+    tau = first_conjugate_time(spec, 1.0, 1.0)
+    assert type(tau) is float
+    rep = conjugate_points_shooting(spec, 1.0, 1.0, 12.0)
+    assert rep.conjugate_times and all(type(z) is float for z in rep.conjugate_times)
 
 
 def test_unresolvable_conjugate_time_raises():

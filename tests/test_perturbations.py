@@ -157,3 +157,83 @@ def test_descriptor_round_trip():
     assert d["kind"] == "triangle" and d["c"] == 2.0 and d["eps"] == 1.0
     d2 = fourier_sine(5, 4, 2.0, 0.0, 1.0).descriptor()
     assert d2["seed"] == 5 and d2["n_modes"] == 4
+
+
+def _old_profile(h, t, deriv):
+    """sigma * h(t) or sigma * h'(t) as evaluated before h and h' shared one
+    pass: one call per quantity, the triangle picking its pieces with five
+    masks built anew on each call."""
+    from vnag.perturbations import _big_g_apex, _big_g_up, _g_apex, _g_up
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros_like(t)
+    span = h.t2 - h.t1
+    s = (t - h.t1) / span
+    if h.kind == "triangle":
+        c, eps, delta = h.params
+        inv = 1.0 / eps
+        rise = (t >= c - eps + delta) & (t <= c - delta)
+        fall = (t >= c + delta) & (t <= c + eps - delta)
+        if deriv:
+            out[rise] = inv
+            out[fall] = -inv
+        else:
+            out[rise] = (t[rise] - (c - eps)) * inv
+            out[fall] = (c + eps - t[fall]) * inv
+        up = (t > c - eps - delta) & (t < c - eps + delta)
+        ap = (t > c - delta) & (t < c + delta)
+        dn = (t > c + eps - delta) & (t < c + eps + delta)
+        if np.any(up):
+            u = (t[up] - (c - eps)) / delta
+            out[up] = _g_up(u) * inv if deriv else (delta * inv) * _big_g_up(u)
+        if np.any(ap):
+            u = (t[ap] - c) / delta
+            out[ap] = _g_apex(u) * inv if deriv else 1.0 - delta * inv + (delta * inv) * _big_g_apex(u)
+        if np.any(dn):
+            u = (t[dn] - (c + eps)) / delta
+            out[dn] = -_g_up(-u) * inv if deriv else (delta * inv) * _big_g_up(-u)
+    elif h.kind == "sinusoid":
+        (k,) = h.params
+        w = k * math.pi / span
+        inside = (s > 0.0) & (s < 1.0)
+        arg = w * (t[inside] - h.t1)
+        out[inside] = w * np.cos(arg) if deriv else np.sin(arg)
+        if deriv:
+            out[s <= 0.0] = w
+            out[s >= 1.0] = w * math.cos(k * math.pi)
+    else:
+        inside = (s > 0.0) & (s < 1.0) if not deriv else np.ones_like(t, dtype=bool)
+        ti = t[inside]
+        acc = np.zeros_like(ti)
+        for k, a in enumerate(h.params[3], start=1):
+            w = k * math.pi / span
+            acc += a * (w * np.cos(w * (ti - h.t1)) if deriv else np.sin(w * (ti - h.t1)))
+        out[inside] = acc
+    return h.sigma * out
+
+
+def _ulp_neighbourhood(points):
+    pts = [q for p in points for q in (math.nextafter(p, -math.inf), p,
+                                       math.nextafter(p, math.inf))]
+    return np.array(pts)
+
+
+def test_one_pass_matches_per_call_formulas():
+    # at every knot, one ulp either side of it and on a dense grid, h and h'
+    # are bit-identical to the per-call formulas; a knot belongs to the
+    # straight piece beside it (closed), never to the blend window (open)
+    t1, t2 = 0.5, 6.5
+    probes = [triangle(3.0, 1.0, t1, t2), triangle(3.1, 2.2, t1, t2, delta=0.02),
+              scale(triangle(2.0, 0.7, t1, t2, delta=1e-5), 3.5),
+              sinusoid(1, t1, t2), scale(sinusoid(4, t1, t2), 0.25),
+              fourier_sine(123, 8, 1.2, t1, t2), scale(fourier_sine(7, 3, 0.6, t1, t2), 2.0)]
+    for h in probes:
+        marks = [t1, t2, *h.knots]
+        if h.kind == "triangle":
+            c, eps, _ = h.params
+            marks += [c, c - eps, c + eps]
+        t = np.concatenate([_ulp_neighbourhood(marks), np.linspace(t1 - 0.1, t2 + 0.1, 2001)])
+        hv, hd = h._values(t)
+        for got, deriv in ((h.value(t), False), (h.deriv(t), True), (hv, False), (hd, True)):
+            want = _old_profile(h, t, deriv)
+            assert np.array_equal(got, want), (h.kind, deriv)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
