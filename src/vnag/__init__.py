@@ -6,22 +6,20 @@ classification.  The `vnag` command-line tool wires these into reproducible
 experiments.
 """
 
-from .action import (LagrangianSpec, PQCoefficients, action, first_variation,
-                     lagrangian, pq_coefficients, second_variation,
-                     second_variation_report)
+from .action import LagrangianSpec, action, first_variation, second_variation
 from .bessel import bessel_j1, bessel_y1
 from .dynamics import (BregmanParams, Constant, DampingSchedule,
                        IdealScalingReport, TimeFunction, Trajectory, Vanishing,
                        check_ideal_scaling, constant_damping_solution,
-                       damping_regime, el_residual, integrate_flow,
-                       integrate_gradient_flow, nesterov_recovering_params)
+                       el_residual, integrate_flow, integrate_gradient_flow,
+                       nesterov_recovering_params)
 from .errors import ConfigError, NumericalError
 from .jacobi import (Classification, ConjugateReport, classify,
                      conjugate_points_along, conjugate_points_bessel,
                      conjugate_points_shooting, epsilon_star,
-                     first_conjugate_time, jacobi_closed_constant,
-                     jacobi_closed_vanishing, jacobi_solution, saddle_witness,
-                     sinusoid_d2j_closed, triangle_d2j_closed)
+                     first_conjugate_time, jacobi_closed_vanishing,
+                     jacobi_solution, saddle_witness, sinusoid_d2j_closed,
+                     triangle_d2j_closed)
 from .perturbations import (Perturbation, fourier_sine, perturb_curve, scale,
                             sinusoid, triangle)
 from .potentials import Polynomial1D, Potential, QuadraticDiagonal
@@ -31,16 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BregmanParams", "Classification", "ConfigError", "ConjugateReport",
     "Constant", "DampingSchedule", "IdealScalingReport", "LagrangianSpec",
-    "NumericalError", "PQCoefficients", "Perturbation", "Polynomial1D",
-    "Potential", "QuadraticDiagonal", "TimeFunction", "Trajectory",
-    "Vanishing", "action", "bessel_j1", "bessel_y1", "check_ideal_scaling",
-    "classify", "conjugate_points_along", "conjugate_points_bessel",
-    "conjugate_points_shooting", "constant_damping_solution",
-    "damping_regime", "el_residual", "epsilon_star", "first_conjugate_time",
-    "first_variation", "fourier_sine", "integrate_flow",
-    "integrate_gradient_flow", "jacobi_closed_constant",
-    "jacobi_closed_vanishing", "jacobi_solution", "lagrangian",
-    "nesterov_recovering_params", "perturb_curve", "pq_coefficients",
-    "saddle_witness", "scale", "second_variation", "second_variation_report",
-    "sinusoid", "sinusoid_d2j_closed", "triangle", "triangle_d2j_closed",
+    "NumericalError", "Perturbation", "Polynomial1D", "Potential",
+    "QuadraticDiagonal", "TimeFunction", "Trajectory", "Vanishing", "action",
+    "bessel_j1", "bessel_y1", "check_ideal_scaling", "classify",
+    "conjugate_points_along", "conjugate_points_bessel",
+    "conjugate_points_shooting", "constant_damping_solution", "el_residual",
+    "epsilon_star", "first_conjugate_time", "first_variation", "fourier_sine",
+    "integrate_flow", "integrate_gradient_flow", "jacobi_closed_vanishing",
+    "jacobi_solution", "nesterov_recovering_params", "perturb_curve",
+    "saddle_witness", "scale", "second_variation", "sinusoid",
+    "sinusoid_d2j_closed", "triangle", "triangle_d2j_closed",
 ]

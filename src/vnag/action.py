@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingSchedule, Trajectory, Vanishing, _check_interval, _check_steps
+from .dynamics import DampingSchedule, Trajectory, _check_interval, _check_steps
+from .perturbations import _check_admissible
 from .potentials import Polynomial1D, Potential, QuadraticDiagonal
 
 
@@ -29,37 +30,9 @@ class LagrangianSpec:
     def weight(self, t):
         return self.damping.weight(t)
 
-    def _check_time(self, t_min: float):
-        if isinstance(self.damping, Vanishing) and t_min <= 0:
-            raise ValueError("vanishing-damping Lagrangian needs t > 0")
-
     def descriptor(self) -> dict:
         return {"damping": self.damping.descriptor(),
                 "potential": self.pot.descriptor()}
-
-
-@dataclass(frozen=True)
-class PQCoefficients:
-    """Second-variation coefficients: P = L_{Y'Y'}, Q_i = -lam_i * w(t)."""
-
-    p: float
-    q: np.ndarray
-
-
-def lagrangian(spec: LagrangianSpec, y, ydot, t: float) -> float:
-    """Pointwise L(y, y', t) = w(t) (0.5 |y'|^2 - f(y))."""
-    spec._check_time(t)
-    ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
-    kinetic = 0.5 * float(np.dot(ydot, ydot))
-    return float(spec.weight(t)) * (kinetic - spec.pot.value(y))
-
-
-def pq_coefficients(spec: LagrangianSpec, t: float) -> PQCoefficients:
-    spec._check_time(t)
-    if not isinstance(spec.pot, QuadraticDiagonal):
-        raise ValueError("P/Q coefficients need a diagonal quadratic potential")
-    w = float(spec.weight(t))
-    return PQCoefficients(p=w, q=-spec.pot.eigenvalues * w)
 
 
 def _simpson(vals: np.ndarray, step: float) -> float:
@@ -91,7 +64,7 @@ def action(spec: LagrangianSpec, curve: Trajectory) -> float:
     The grid (or each knot-delimited segment of it) must be uniform with an
     even number of intervals.
     """
-    spec._check_time(curve.t1)
+    _check_interval(spec.damping, curve.t1, curve.t2)
     total = 0.0
     for i0, i1 in _segment_slices(curve):
         t = curve.t[i0:i1 + 1]
@@ -103,18 +76,6 @@ def action(spec: LagrangianSpec, curve: Trajectory) -> float:
             * (kinetic - spec.pot.value_rows(curve.x[i0:i1 + 1]))
         total += _simpson(integrand, float(d[0]))
     return float(total)
-
-
-def _check_admissible(h, t1: float, t2: float, dim: int):
-    if abs(h.t1 - t1) > 1e-9 or abs(h.t2 - t2) > 1e-9:
-        raise ValueError("perturbation interval does not match")
-    if not 0 <= h.component < dim:
-        raise ValueError(f"perturbation component {h.component} out of range "
-                         f"for dimension {dim}")
-    scale = max(1.0, abs(h.sigma))
-    ends = np.abs(h.value(np.array([t1, t2])))
-    if np.any(ends > 1e-12 * scale):
-        raise ValueError("perturbation must vanish at both endpoints")
 
 
 def _span_grids(t1: float, t2: float, inner_knots, n_steps: int):
@@ -156,7 +117,7 @@ def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
     Vanishes (to quadrature accuracy) when the curve solves the
     Euler-Lagrange equation.
     """
-    spec._check_time(curve.t1)
+    _check_interval(spec.damping, curve.t1, curve.t2)
     _check_steps(n_steps, 1)
     _check_admissible(h, curve.t1, curve.t2, spec.pot.dim)
     comp = h.component
@@ -200,17 +161,4 @@ def second_variation(spec: LagrangianSpec, t1: float, t2: float, h,
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = 0.5 * (w * hd * hd + q * hv * hv)
         return float(_span_simpson(integrand, spans))
-
-
-def second_variation_report(spec: LagrangianSpec, t1: float, t2: float, h,
-                            n_steps: int = 4096,
-                            base: Trajectory | None = None) -> dict:
-    """JSON-ready record of one second-variation evaluation."""
-    return {
-        "value": second_variation(spec, t1, t2, h, n_steps=n_steps, base=base),
-        "t1": t1,
-        "t2": t2,
-        "perturbation": h.descriptor(),
-        "spec": spec.descriptor(),
-    }
 

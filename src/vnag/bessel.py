@@ -18,10 +18,11 @@ Four regions:
   truncation; at the crossover the truncation error is below 1e-16 of the
   envelope.
 
-`_j1_y1` returns the pair (J1, Y1) with one region dispatch, so callers
+`_j1_y1` returns the pair (J1, Y1) with the one region dispatch, so callers
 that need both at one point (the conjugate-point search) pay for one series,
-one Hankel evaluation or one anchor lookup; its values are bit-identical to
-`bessel_j1` and `bessel_y1`, which is its Y1 half.
+one Hankel evaluation or one anchor lookup.  `bessel_j1` and `bessel_y1` are
+its J1 and Y1 halves; `bessel_j1` keeps its own x/2 below 1e-10, so it also
+takes x = 0 and the x where Y1 overflows.
 
 Absolute error is about 1e-15 * max(1, |Y1|) on [0.01, 25], including
 next to the zeros, where the conjugate-point search needs it; the regions
@@ -153,20 +154,6 @@ def _asymptotic(x: float) -> tuple[float, float]:
     return j1, y1
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order one, for x >= 0."""
-    x = float(x)
-    if x < 0:
-        raise ValueError("bessel_j1 requires x >= 0")
-    if x < _TINY:
-        return 0.5 * x
-    if x < _SERIES_MAX:
-        return _series(x)[0]
-    if x < _SWITCH:
-        return _taylor(x, _J_COEFFS, int(x + 0.5))
-    return _asymptotic(x)[0]
-
-
 def _j1_y1(x: float) -> tuple[float, float]:
     """(J1(x), Y1(x)) for x > 0 from one region dispatch."""
     x = float(x)
@@ -184,6 +171,16 @@ def _j1_y1(x: float) -> tuple[float, float]:
         x0 = int(x + 0.5)
         return _taylor(x, _J_COEFFS, x0), _taylor(x, _Y_COEFFS, x0)
     return _asymptotic(x)
+
+
+def bessel_j1(x: float) -> float:
+    """Bessel function of the first kind, order one, for x >= 0."""
+    x = float(x)
+    if x < 0:
+        raise ValueError("bessel_j1 requires x >= 0")
+    if x < _TINY:
+        return 0.5 * x  # _j1_y1 rejects x = 0 and raises where Y1 overflows
+    return _j1_y1(x)[0]
 
 
 def bessel_y1(x: float) -> float:

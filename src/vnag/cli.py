@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action import (LagrangianSpec, action, second_variation,
-                     second_variation_report)
+from .action import LagrangianSpec, action, second_variation
 from .dynamics import (Constant, Trajectory, Vanishing,
                        constant_damping_solution, el_residual, integrate_flow)
 from .errors import ConfigError, NumericalError
@@ -339,15 +338,13 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
     probes = [h for entry in raw for h in _expand_perturbation(entry, t1, t2, seed)]
     table = []
     for h in probes:
-        entry = second_variation_report(spec, t1, t2, h, n_steps=n_steps)
-        quad = entry["value"]
+        quad = second_variation(spec, t1, t2, h, n_steps=n_steps)
         closed = _closed_form_for(h, spec)
         rel = (abs(quad - closed) / max(1e-300, abs(closed))
                if closed not in (None, 0.0) else None)
-        entry["d2j_quadrature"] = quad
-        entry["d2j_closed_form"] = closed
-        entry["relative_difference"] = rel
-        table.append(entry)
+        table.append({"value": quad, "t1": t1, "t2": t2, "perturbation": h.descriptor(),
+                      "spec": spec.descriptor(), "d2j_quadrature": quad,
+                      "d2j_closed_form": closed, "relative_difference": rel})
     sign_changes = []
     for a, b in zip(table[:-1], table[1:]):
         if a["d2j_quadrature"] * b["d2j_quadrature"] < 0:

@@ -90,18 +90,6 @@ class Constant:
 DampingSchedule = Vanishing | Constant
 
 
-def damping_regime(alpha: float, beta: float, tol: float = 1e-12) -> str:
-    """Classify constant damping against curvature beta.
-
-    Returns "underdamped", "critical" (within tol of 2*sqrt(beta)) or
-    "overdamped".
-    """
-    crit = 2.0 * math.sqrt(beta)
-    if abs(alpha - crit) <= tol * max(1.0, crit):
-        return "critical"
-    return "underdamped" if alpha < crit else "overdamped"
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A sampled C^1 curve: times t, positions x (n, d), velocities v (n, d).
@@ -341,18 +329,16 @@ def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
 
 @dataclass(frozen=True)
 class TimeFunction:
-    """A scalar function of time with (optionally analytic) derivative."""
+    """A scalar function of time with its derivative."""
 
     fn: Callable[[float], float]
-    deriv_fn: Callable[[float], float] | None = None
+    deriv_fn: Callable[[float], float]
 
     def value(self, t: float) -> float:
         return float(self.fn(t))
 
-    def deriv(self, t: float, fd_step: float = 1e-6) -> float:
-        if self.deriv_fn is not None:
-            return float(self.deriv_fn(t))
-        return (self.fn(t + fd_step) - self.fn(t - fd_step)) / (2.0 * fd_step)
+    def deriv(self, t: float) -> float:
+        return float(self.deriv_fn(t))
 
 
 @dataclass(frozen=True)
@@ -361,7 +347,9 @@ class BregmanParams:
 
     As a schedule for `integrate_flow` it gives the damping e^a - a' and the
     force factor e^(2a+b); g enters only the ideal-scaling conditions.  The
-    TimeFunctions are evaluated point by point.
+    TimeFunctions are evaluated point by point.  No command uses it; it is
+    kept because the Bregman-Lagrangian family is the one the paper studies,
+    and tests check that the vanishing-damping flow is a member of it.
     """
 
     alpha: TimeFunction
@@ -386,7 +374,9 @@ def nesterov_recovering_params() -> BregmanParams:
     a(t) = log(2/t), b(t) = 2 log(t/2), g(t) = 2 log t.  Note b carries a
     -log 4 offset relative to 2 log t; the offset does not affect b'(t) (so
     the ideal-scaling equalities still hold) but it is required for the
-    force term e^(2a+b) to equal one.
+    force term e^(2a+b) to equal one.  Kept as the paper's link between the
+    Bregman family and Nesterov's flow: tests check that it meets the
+    ideal-scaling conditions and reproduces that flow.
     """
     return BregmanParams(
         alpha=TimeFunction(lambda t: math.log(2.0 / t), lambda t: -1.0 / t),
@@ -397,12 +387,20 @@ def nesterov_recovering_params() -> BregmanParams:
 
 @dataclass(frozen=True)
 class IdealScalingReport:
+    """Result of `check_ideal_scaling`: whether the conditions hold on the
+    grid, and by how much they fail at worst."""
+
     holds: bool
     max_violation: float
 
 
 def check_ideal_scaling(params: BregmanParams, t_grid, tol: float = 1e-9) -> IdealScalingReport:
-    """Sample b'(t) <= e^a(t) and g'(t) = e^a(t) on the grid."""
+    """Sample b'(t) <= e^a(t) and g'(t) = e^a(t) on the grid.
+
+    These ideal-scaling conditions define the Bregman-Lagrangian family
+    whose stationary paths the library classifies; no command calls this,
+    and tests use it to check that `nesterov_recovering_params` meets them.
+    """
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):
         ea = math.exp(params.alpha.value(t))

@@ -14,6 +14,7 @@ time over the eigendirections decides the verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .action import LagrangianSpec, second_variation
 from .bessel import _j1_y1
 from .dynamics import (Constant, Trajectory, Vanishing, _check_interval, _check_steps,
-                       _linear_chunks, _propagate, _step_maps, damping_regime)
+                       _linear_chunks, _propagate, _step_maps)
 from .errors import NumericalError
 from .perturbations import triangle
 from .potentials import Polynomial1D, QuadraticDiagonal
@@ -106,24 +107,6 @@ def jacobi_closed_vanishing(beta: float, t1: float, t: float) -> float:
         raise NumericalError(f"Y1/J1 overflows at sqrt(beta) t1 = {s1!r}")
     j1, y1 = _j1_y1(rb * t)
     return y1 / t - k * j1 / t
-
-
-def jacobi_closed_constant(alpha: float, beta: float, t1: float, t: float) -> float:
-    """Jacobi solution vanishing at t1 for constant damping alpha.
-
-    Underdamped branch uses the phase-shifted form
-    exp(-alpha t / 2) sin(omega (t - t1)), omega = sqrt(4 beta - alpha^2)/2,
-    which has the same zero set as the textbook tan-based expression but no
-    spurious singularities in t1.
-    """
-    regime = damping_regime(alpha, beta)
-    if regime == "critical":
-        return (t - t1) * math.exp(-math.sqrt(beta) * t)
-    if regime == "overdamped":
-        g = math.sqrt(alpha * alpha - 4.0 * beta) / 2.0
-        return math.exp(-alpha * t / 2.0) * (math.exp(g * t) - math.exp(g * (2.0 * t1 - t)))
-    omega = math.sqrt(4.0 * beta - alpha * alpha) / 2.0
-    return math.exp(-alpha * t / 2.0) * math.sin(omega * (t - t1))
 
 
 # --------------------------------------------------------------------------
@@ -411,11 +394,16 @@ def sinusoid_d2j_closed(t1: float, t2: float, k: int, sigma: float = 1.0) -> flo
         raise ValueError("need k >= 1")
     span = t2 - t1
     kk = (k * math.pi) ** 2
+    # e^t2 - e^t1 as e^t1 expm1(span), which keeps a short span free of
+    # cancellation, while e^t1 is a normal double and the product does not
+    # overflow; else as -e^t2 expm1(-span), which overflows only with e^t2
+    # and keeps the digits a subnormal or zero e^t1 would lose
     try:
-        # e^t2 - e^t1; expm1 keeps a short span free of cancellation
-        growth = math.exp(t1) * math.expm1(span)
+        e1 = math.exp(t1)
+        growth = e1 * math.expm1(span) if e1 >= sys.float_info.min else None
     except OverflowError:
-        # e^t1 or e^span overflowed; -e^t2 expm1(-span) overflows only with e^t2
+        growth = None
+    if growth is None:
         growth = -math.exp(t2) * math.expm1(-span)
     num = growth * kk * (2.0 * kk - span * span)
     return sigma * sigma * num / (2.0 * span * span * (4.0 * kk + span * span))

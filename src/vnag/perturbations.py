@@ -137,14 +137,6 @@ class Perturbation:
 
     # ---- derived quantities ----
 
-    def norm(self, n_samples: int = 10_000) -> float:
-        """Sampled sup-norm max|h| + max|h'|."""
-        t = np.linspace(self.t1, self.t2, n_samples)
-        if self.knots:
-            t = np.sort(np.concatenate([t, np.asarray(self.knots)]))
-        hv, hd = self._values(t)
-        return float(np.max(np.abs(hv)) + np.max(np.abs(hd)))
-
     def interior_knots(self) -> tuple:
         return tuple(k for k in self.knots if self.t1 < k < self.t2)
 
@@ -214,6 +206,19 @@ def scale(h: Perturbation, sigma: float) -> Perturbation:
     return dataclasses.replace(h, sigma=h.sigma * sigma)
 
 
+def _check_admissible(h: Perturbation, t1: float, t2: float, dim: int):
+    """The one admissibility rule: h lives on [t1, t2] (to 1e-9), acts on a
+    coordinate below dim and vanishes at both ends."""
+    if abs(h.t1 - t1) > 1e-9 or abs(h.t2 - t2) > 1e-9:
+        raise ValueError("perturbation interval does not match")
+    if not 0 <= h.component < dim:
+        raise ValueError(f"perturbation component {h.component} out of range "
+                         f"for dimension {dim}")
+    ends = np.abs(h.value(np.array([t1, t2])))
+    if np.any(ends > 1e-12 * max(1.0, abs(h.sigma))):
+        raise ValueError("perturbation must vanish at both endpoints")
+
+
 def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
     """Sampled base + h (values and velocities) on a grid containing h's knots.
 
@@ -222,10 +227,7 @@ def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
     with an even interval count at roughly the base resolution, so that the
     action quadrature integrates each smooth piece at full order.
     """
-    if abs(h.t1 - base.t1) > 1e-9 or abs(h.t2 - base.t2) > 1e-9:
-        raise ValueError("perturbation interval does not match the trajectory")
-    if not 0 <= h.component < base.dim:
-        raise ValueError("perturbation component out of range")
+    _check_admissible(h, base.t1, base.t2, base.dim)
     inner = h.interior_knots()
     if not inner:
         x = base.x.copy()

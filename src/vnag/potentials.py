@@ -45,16 +45,6 @@ class QuadraticDiagonal:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def _check(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected dimension {self.dim}, got shape {x.shape}")
-        return x
-
-    def value(self, x) -> float:
-        d = self._check(x) - self.xstar
-        return float(0.5 * np.dot(self.eigenvalues, d * d))
-
     def value_rows(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized value over an (n, d) array of points."""
         d = np.asarray(xs, dtype=float) - self.xstar
@@ -63,10 +53,6 @@ class QuadraticDiagonal:
     def grad_rows(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized gradient over an (n, d) array of points."""
         return self.eigenvalues * (np.asarray(xs, dtype=float) - self.xstar)
-
-    def curvature_bounds(self, interval=None) -> tuple[float, float]:
-        """(mu, beta): smallest and largest Hessian eigenvalue."""
-        return float(self.eigenvalues.min()), float(self.eigenvalues.max())
 
     def descriptor(self) -> dict:
         return {"kind": "quadratic", "eigenvalues": self.eigenvalues.tolist(),
@@ -92,12 +78,6 @@ class Polynomial1D:
     def dim(self) -> int:
         return 1
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (1,):
-            raise ValueError("Polynomial1D is one-dimensional")
-        return self.a * (float(x[0]) - self.xstar) ** self.p
-
     def value_rows(self, xs: np.ndarray) -> np.ndarray:
         d = np.asarray(xs, dtype=float).reshape(-1) - self.xstar
         return self.a * d ** self.p
@@ -109,24 +89,6 @@ class Polynomial1D:
     def second_deriv(self, x):
         """f''(x); elementwise on an array of points."""
         return self.a * self.p * (self.p - 1) * (x - self.xstar) ** (self.p - 2)
-
-    def curvature_bounds(self, interval=None) -> tuple[float, float]:
-        """Curvature range of f'' over a closed interval.
-
-        Unlike the quadratic case the curvature is position dependent, so a
-        caller-supplied interval is required.  f'' is evaluated at the
-        endpoints and, when xstar lies inside, at xstar (where it vanishes
-        for p > 2).
-        """
-        if interval is None:
-            raise ValueError("Polynomial1D needs an interval for curvature bounds")
-        lo, hi = float(interval[0]), float(interval[1])
-        if not lo < hi:
-            raise ValueError("interval must satisfy lo < hi")
-        samples = [self.second_deriv(lo), self.second_deriv(hi)]
-        if lo < self.xstar < hi:
-            samples.append(self.second_deriv(self.xstar))
-        return float(min(samples)), float(max(samples))
 
     def descriptor(self) -> dict:
         return {"kind": "polynomial", "a": self.a, "p": self.p, "xstar": self.xstar}

@@ -25,7 +25,8 @@ from vnag.cli import main
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "outputs.sha256"
 FIGURES = ("fig1", "fig2", "fig3", "unbounded", "poly")
-CONFIGS = (("second-variation", "second_variation.json"), ("classify", "classify.json"))
+CONFIGS = (("second-variation", "second_variation.json"), ("classify", "classify.json"),
+           ("simulate", "simulate.json"))
 
 
 def versions() -> dict:

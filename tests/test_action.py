@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import mpmath as mp
@@ -8,25 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal, Trajectory,
-                  Vanishing, action, first_variation, fourier_sine, integrate_flow,
-                  lagrangian, perturb_curve, pq_coefficients, scale, second_variation,
-                  sinusoid, triangle)
+from vnag import (Constant, LagrangianSpec, Perturbation, Polynomial1D, QuadraticDiagonal,
+                  Trajectory, Vanishing, action, first_variation, fourier_sine, integrate_flow,
+                  perturb_curve, scale, second_variation, sinusoid, triangle)
 from vnag.action import _simpson, _span_grids
+from vnag.cli import main
 
 
 def _spec(beta=1.0, damping=None):
     return LagrangianSpec(damping or Vanishing(3.0), QuadraticDiagonal([beta]))
-
-
-def test_lagrangian_pointwise():
-    spec = _spec()
-    assert lagrangian(spec, [0.0], [1.0], 2.0) == pytest.approx(4.0)
-    spec_c = _spec(damping=Constant(1.0))
-    assert lagrangian(spec_c, [1.0], [0.0], 0.0) == pytest.approx(-0.5)
-    assert lagrangian(spec, QuadraticDiagonal([1.0]).xstar, [0.0], 3.0) == 0.0
-    with pytest.raises(ValueError):
-        lagrangian(spec, [0.0], [1.0], -1.0)
 
 
 def test_action_constant_curve_is_zero():
@@ -83,20 +74,6 @@ def test_simpson_fourth_order():
     assert 12.0 <= ratio <= 22.0
 
 
-def test_pq_coefficients():
-    spec = _spec(beta=2.0)
-    pq = pq_coefficients(spec, 2.0)
-    assert pq.p == pytest.approx(8.0)
-    np.testing.assert_allclose(pq.q, [-16.0])
-    spec_c = LagrangianSpec(Constant(1.0), QuadraticDiagonal([2.0]))
-    pq = pq_coefficients(spec_c, 0.0)
-    assert pq.p == 1.0 and pq.q[0] == -2.0
-    spec_2d = LagrangianSpec(Constant(2.0), QuadraticDiagonal([1.0, 4.0]))
-    pq = pq_coefficients(spec_2d, 1.0)
-    assert pq.p == pytest.approx(math.e ** 2)
-    np.testing.assert_allclose(pq.q, [-math.e ** 2, -4 * math.e ** 2], rtol=1e-12)
-
-
 def test_first_variation_vanishes_on_extremal(warm_state):
     pot = QuadraticDiagonal([1.0])
     spec = LagrangianSpec(Vanishing(3.0), pot)
@@ -105,7 +82,8 @@ def test_first_variation_vanishes_on_extremal(warm_state):
     for h in (sinusoid(1, 1.0, 10.0), triangle(4.0, 1.5, 1.0, 10.0),
               scale(sinusoid(3, 1.0, 10.0), 2.5)):
         dj = first_variation(spec, curve, h)
-        assert abs(dj) <= 1e-5 * (1.0 + h.norm())
+        hv, hd = h._values(curve.t)
+        assert abs(dj) <= 1e-5 * (1.0 + np.max(np.abs(hv)) + np.max(np.abs(hd)))
 
 
 def test_first_variation_zero_perturbation():
@@ -184,24 +162,37 @@ def test_base_curve_independence(warm_state):
 
 
 def test_admissibility_enforced():
+    # one rule for second_variation, first_variation and perturb_curve: the
+    # probe's interval, its component and its values at both ends
     spec = _spec()
-    h = sinusoid(1, 1.0, 3.0)
-    with pytest.raises(ValueError):
-        second_variation(spec, 1.0, 4.0, h)  # interval mismatch
+    curve = Trajectory(np.linspace(1.0, 3.0, 65), np.zeros((65, 1)), np.zeros((65, 1)))
+    bad = [sinusoid(1, 1.0, 4.0),  # interval mismatch
+           dataclasses.replace(sinusoid(1, 1.0, 3.0), component=1),
+           Perturbation("triangle", 1.0, 3.0, params=(1.0, 0.5, 0.005))]  # h(t1) = 1
+    for h in bad:
+        for call in (lambda: second_variation(spec, 1.0, 3.0, h),
+                     lambda: first_variation(spec, curve, h),
+                     lambda: perturb_curve(curve, h)):
+            with pytest.raises(ValueError):
+                call()
 
 
-def test_second_variation_report_schema():
-    from vnag.action import second_variation_report
-    spec = _spec()
-    h = triangle(2.0, 1.0, 0.5, 3.5)
-    rep = second_variation_report(spec, 0.5, 3.5, h)
-    assert set(rep) == {"value", "t1", "t2", "perturbation", "spec"}
-    assert rep["value"] == pytest.approx(7.13333333, abs=1e-3)
+def test_second_variation_report_schema(tmp_path):
+    # the record `vnag second-variation` writes for each probe
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {"kind": "quadratic", "eigenvalues": [1.0]},
+        "damping": {"kind": "vanishing", "c": 3.0},
+        "interval": {"t1": 0.5, "t2": 3.5},
+        "perturbations": [{"kind": "triangle", "c": 2.0, "eps": 1.0}]}))
+    assert main(["second-variation", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    (rep,) = json.loads((tmp_path / "report.json").read_text())["results"]["table"]
+    assert set(rep) == {"value", "t1", "t2", "perturbation", "spec", "d2j_quadrature",
+                        "d2j_closed_form", "relative_difference"}
+    assert rep["value"] == rep["d2j_quadrature"] == pytest.approx(7.13333333, abs=1e-3)
     assert rep["perturbation"]["kind"] == "triangle"
     assert rep["spec"]["damping"] == {"kind": "vanishing", "c": 3.0}
     assert rep["spec"]["potential"]["kind"] == "quadratic"
-    import json
-    json.dumps(rep)  # JSON-serializable as-is
 
 
 # ---------------------------------------------- one pass against the span loop

@@ -108,18 +108,19 @@ def test_leading_asymptotic_envelope():
                - math.sqrt(2 / (math.pi * 50)) * math.sin(50 - 0.75 * math.pi)) <= 2e-2
 
 
-def _y1_single(x):
-    """Y1 by its own region dispatch, as bessel_y1 evaluated it before it
-    became the Y1 half of the pair evaluator."""
-    from vnag.bessel import (_SERIES_MAX, _TINY, _Y_COEFFS, _asymptotic, _series,
-                             _taylor)
+def _single(x, which):
+    """J1 (which = 0) or Y1 (which = 1) by its own region dispatch, as
+    bessel_j1 and bessel_y1 evaluated them before they became the halves of
+    the pair evaluator."""
+    from vnag.bessel import (_J_COEFFS, _SERIES_MAX, _TINY, _Y_COEFFS, _asymptotic,
+                             _series, _taylor)
     if x < _TINY:
-        return -(2.0 / math.pi) / x
+        return (0.5 * x, -(2.0 / math.pi) / x)[which]
     if x < _SERIES_MAX:
-        return _series(x)[1]
+        return _series(x)[which]
     if x < _SWITCH:
-        return _taylor(x, _Y_COEFFS, int(x + 0.5))
-    return _asymptotic(x)[1]
+        return _taylor(x, (_J_COEFFS, _Y_COEFFS)[which], int(x + 0.5))
+    return _asymptotic(x)[which]
 
 
 def test_pair_evaluator_is_bit_identical():
@@ -133,7 +134,7 @@ def test_pair_evaluator_is_bit_identical():
     xs += rng.uniform(0.0, 25.0, 2000).tolist()
     for x in xs:
         pair = _j1_y1(x)
-        assert pair == (bessel_j1(x), bessel_y1(x)) == (bessel_j1(x), _y1_single(x)), x
+        assert pair == (bessel_j1(x), bessel_y1(x)) == (_single(x, 0), _single(x, 1)), x
         assert all(type(v) is float for v in pair)
     with pytest.raises(ValueError):
         _j1_y1(0.0)

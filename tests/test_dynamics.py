@@ -6,8 +6,8 @@ import pytest
 
 from vnag import (BregmanParams, Constant, NumericalError, Polynomial1D,
                   QuadraticDiagonal, TimeFunction, Trajectory, Vanishing,
-                  check_ideal_scaling, constant_damping_solution, damping_regime,
-                  el_residual, integrate_flow, integrate_gradient_flow,
+                  check_ideal_scaling, constant_damping_solution, el_residual,
+                  integrate_flow, integrate_gradient_flow,
                   nesterov_recovering_params)
 from vnag import dynamics
 
@@ -139,17 +139,6 @@ def test_ideal_scaling():
         gamma=TimeFunction(lambda t: t, lambda t: 1.0),
     )
     assert check_ideal_scaling(lin, np.linspace(0.0, 5.0, 50)).holds
-
-
-def test_time_function_fd_derivative():
-    f = TimeFunction(lambda t: t ** 3)
-    assert f.deriv(2.0) == pytest.approx(12.0, abs=1e-5)
-
-
-def test_damping_regime():
-    assert damping_regime(2.0, 1.0) == "critical"
-    assert damping_regime(1.0, 1.0) == "underdamped"
-    assert damping_regime(3.0, 1.0) == "overdamped"
 
 
 def test_constant_damping_solution_regimes():

@@ -4,16 +4,15 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   Vanishing, classify, conjugate_points_along,
                   conjugate_points_bessel, conjugate_points_shooting,
                   epsilon_star, first_conjugate_time, integrate_flow,
-                  jacobi_closed_constant, jacobi_closed_vanishing,
-                  saddle_witness, second_variation, sinusoid_d2j_closed,
-                  triangle, triangle_d2j_closed)
+                  jacobi_closed_vanishing, saddle_witness, second_variation,
+                  sinusoid_d2j_closed, triangle, triangle_d2j_closed)
 from vnag import (NumericalError, dynamics, first_variation, fourier_sine,
                   integrate_gradient_flow, jacobi_solution, sinusoid)
 from vnag.jacobi import _zeros_from_grid
@@ -25,6 +24,25 @@ def _vspec(beta=1.0):
 
 def _cspec(alpha, beta=1.0):
     return LagrangianSpec(Constant(alpha), QuadraticDiagonal([beta]))
+
+
+def jacobi_closed_constant(alpha, beta, t1, t):
+    """Jacobi solution vanishing at t1 for constant damping alpha: critical
+    within 1e-12 of alpha = 2 sqrt(beta), else under- or overdamped.
+
+    The underdamped branch uses the phase-shifted form
+    exp(-alpha t / 2) sin(omega (t - t1)), omega = sqrt(4 beta - alpha^2)/2,
+    which has the same zero set as the textbook tan-based expression but no
+    spurious singularities in t1.
+    """
+    crit = 2.0 * math.sqrt(beta)
+    if abs(alpha - crit) <= 1e-12 * max(1.0, crit):
+        return (t - t1) * math.exp(-math.sqrt(beta) * t)
+    if alpha > crit:
+        g = math.sqrt(alpha * alpha - 4.0 * beta) / 2.0
+        return math.exp(-alpha * t / 2.0) * (math.exp(g * t) - math.exp(g * (2.0 * t1 - t)))
+    omega = math.sqrt(4.0 * beta - alpha * alpha) / 2.0
+    return math.exp(-alpha * t / 2.0) * math.sin(omega * (t - t1))
 
 
 # ---------------------------------------------------------------- closed forms
@@ -125,6 +143,24 @@ def test_shooting_constant_damping_formula():
     want = [0.5 + 2.0 * k * math.pi / math.sqrt(3.0) for k in (1, 2)]
     assert len(rep.conjugate_times) == 2
     np.testing.assert_allclose(rep.conjugate_times, want, atol=1e-8)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@example(lam=1.0, ratio=0.5, t1=0.5, s=1e3)
+@given(lam=st.floats(0.1, 10.0), ratio=st.floats(0.0, 0.8), t1=st.floats(-5.0, 5.0),
+       s=st.floats(-50.0, 50.0))
+def test_shooting_time_translation_constant_damping(lam, ratio, t1, s):
+    # alpha constant: the Jacobi equation is autonomous, so shifting the
+    # window by s shifts every conjugate time by s; three zeros, pi/omega
+    # apart, lie in the window
+    alpha = ratio * 2.0 * math.sqrt(lam)
+    omega = math.sqrt(4.0 * lam - alpha * alpha) / 2.0
+    t2 = t1 + 3.5 * math.pi / omega
+    spec = _cspec(alpha, lam)
+    base = conjugate_points_shooting(spec, lam, t1, t2).conjugate_times
+    moved = conjugate_points_shooting(spec, lam, t1 + s, t2 + s).conjugate_times
+    assert len(base) == len(moved) == 3
+    np.testing.assert_allclose(moved, np.array(base) + s, rtol=0, atol=1e-8)
 
 
 def test_shooting_critical_empty():
@@ -393,15 +429,34 @@ def test_sinusoid_closed_form():
         thr = math.sqrt(2.0) * k * math.pi
         assert sinusoid_d2j_closed(0.0, thr * 1.05, k) < 0
         assert sinusoid_d2j_closed(0.0, thr * 0.95, k) > 0
-    # e^(t2 - t1) overflows on [-1000, 6], but e^t2 - e^t1 does not
-    with mp.workdps(30):
-        t1, t2 = mp.mpf(-1000), mp.mpf(6)
-        span, kk = t2 - t1, mp.pi ** 2
-        exact = ((mp.e ** t2 - mp.e ** t1) * kk * (2 * kk - span ** 2)
-                 / (2 * span ** 2 * (4 * kk + span ** 2)))
-    assert sinusoid_d2j_closed(-1000.0, 6.0, 1) == pytest.approx(float(exact), rel=1e-13)
+    # e^(t2 - t1) overflows on [-1000, 6], but e^t2 - e^t1 does not; e^t1
+    # underflows to 0 on [-800, -700] and is subnormal on [-720, -700], yet
+    # e^t2 - e^t1 is a normal double on all three
+    for t1, t2 in ((-1000, 6), (-800, -700), (-720, -700)):
+        with mp.workdps(30):
+            a, b = mp.mpf(t1), mp.mpf(t2)
+            span, kk = b - a, mp.pi ** 2
+            exact = ((mp.e ** b - mp.e ** a) * kk * (2 * kk - span ** 2)
+                     / (2 * span ** 2 * (4 * kk + span ** 2)))
+        assert sinusoid_d2j_closed(float(t1), float(t2), 1) == pytest.approx(
+            float(exact), rel=1e-13, abs=0.0), (t1, t2)
     with pytest.raises(OverflowError):  # e^t1 and e^t2 both overflow
         sinusoid_d2j_closed(710.0, 716.0, 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.5, 8.0), c=st.floats(2.0, 8.0), frac=st.floats(0.05, 0.95))
+def test_triangle_closed_form_matches_quadrature(beta, c, frac):
+    # criterion 07's bound at random (beta, c, eps), with eps at least 10%
+    # away from eps*, the root where a relative comparison is ill-posed
+    t1 = 0.5
+    eps = frac * (c - t1)
+    star = epsilon_star(beta * c * c, beta)
+    assume(abs(eps - star) >= 0.1 * star)
+    t2 = c + eps + 1.0
+    quad = second_variation(_vspec(beta), t1, t2, triangle(c, eps, t1, t2))
+    closed = triangle_d2j_closed(beta, c, eps)
+    assert abs(quad - closed) <= 1e-4 * abs(closed)
 
 
 def test_sign_change_bracket():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vnag import (LagrangianSpec, QuadraticDiagonal, Vanishing, action,
+from vnag import (LagrangianSpec, QuadraticDiagonal, Trajectory, Vanishing, action,
                   first_variation, fourier_sine, integrate_flow,
                   perturb_curve, scale, second_variation, sinusoid, triangle,
                   triangle_d2j_closed)
@@ -84,17 +86,33 @@ def test_scale():
     z = scale(h, 0.0)
     t = np.linspace(0.0, 2.0, 50)
     assert np.all(z.value(t) == 0.0)
-    assert scale(h, 2.0).norm() == pytest.approx(2.0 * h.norm(), rel=1e-12)
+    for doubled, single in zip(scale(h, 2.0)._values(t), h._values(t)):
+        np.testing.assert_array_equal(doubled, 2.0 * single)
     with pytest.raises(ValueError):
         scale(h, -1.0)
 
 
-def test_scale_is_quadratic_in_d2j():
+_PROBES = {"triangle": triangle(2.0, 1.0, 0.5, 3.5), "sinusoid": sinusoid(2, 0.5, 3.5),
+           "fourier": fourier_sine(5, 6, 1.5, 0.5, 3.5)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(sigma=3.0, kind="triangle")
+@example(sigma=0.0, kind="fourier")
+@given(sigma=st.floats(1e-3, 1e3), kind=st.sampled_from(sorted(_PROBES)))
+def test_scale_is_quadratic_in_d2j(sigma, kind):
+    # d2J[sigma h] = sigma^2 d2J[h], and dJ[Y; sigma h] = sigma dJ[Y; h] on
+    # the constant curve Y = 1, where dJ = -int t^3 h dt is far from zero
     spec = LagrangianSpec(Vanishing(3.0), QuadraticDiagonal([1.0]))
-    h = triangle(2.0, 1.0, 0.5, 3.5)
+    h = _PROBES[kind]
     base = second_variation(spec, 0.5, 3.5, h)
-    tripled = second_variation(spec, 0.5, 3.5, scale(h, 3.0))
-    assert abs(tripled - 9.0 * base) <= 1e-9 * abs(9.0 * base)
+    scaled = second_variation(spec, 0.5, 3.5, scale(h, sigma))
+    assert abs(scaled - sigma * sigma * base) <= 1e-12 * sigma * sigma * abs(base)
+    t = np.linspace(0.5, 3.5, 257)
+    curve = Trajectory(t, np.ones_like(t), np.zeros_like(t))
+    first = first_variation(spec, curve, h)
+    scaled = first_variation(spec, curve, scale(h, sigma))
+    assert abs(scaled - sigma * first) <= 1e-12 * sigma * abs(first)
 
 
 def test_triangle_blend_limit():
@@ -143,12 +161,6 @@ def test_increment_decomposition(warm_state):
         lhs = action(spec, perturb_curve(base, h)) - action(spec, base)
         rhs = first_variation(spec, base, h) + second_variation(spec, 1.0, 9.0, h)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
-
-
-def test_norm_is_sup_plus_sup():
-    h = sinusoid(1, 0.0, 2.0)
-    # max|h| = 1, max|h'| = pi/2
-    assert h.norm() == pytest.approx(1.0 + math.pi / 2.0, rel=1e-6)
 
 
 def test_descriptor_round_trip():

@@ -6,10 +6,14 @@ import pytest
 from vnag import Polynomial1D, QuadraticDiagonal
 
 
+def _f(pot, x):
+    """f at one point, through the row-vectorized value."""
+    return float(pot.value_rows(np.atleast_2d(x))[0])
+
+
 def test_quadratic_values():
     pot = QuadraticDiagonal([1.0])
-    assert pot.value([2.0]) == 2.0
-    assert pot.value([0.0]) == 0.0
+    np.testing.assert_array_equal(pot.value_rows(np.array([[2.0], [0.0]])), [2.0, 0.0])
     pot2 = QuadraticDiagonal([1.0, 4.0])
     np.testing.assert_allclose(pot2.grad_rows(np.array([1.0, 1.0])), [1.0, 4.0])
     np.testing.assert_allclose(pot2.grad_rows(pot2.xstar), [0.0, 0.0])
@@ -17,28 +21,10 @@ def test_quadratic_values():
 
 def test_polynomial_values():
     pot = Polynomial1D(1.0, 4, 0.0)
-    assert pot.value([2.0]) == 16.0
+    np.testing.assert_array_equal(pot.value_rows(np.array([[2.0], [0.0]])), [16.0, 0.0])
     assert pot.grad_rows(2.0) == 32.0
-    assert pot.value([0.0]) == 0.0
     assert pot.grad_rows(0.0) == 0.0
     np.testing.assert_array_equal(pot.grad_rows(np.array([[2.0], [-1.0]])), [[32.0], [-4.0]])
-
-
-def test_curvature_bounds():
-    assert QuadraticDiagonal([3e-4, 2e-2]).curvature_bounds() == (3e-4, 2e-2)
-    assert QuadraticDiagonal([1.0]).curvature_bounds() == (1.0, 1.0)
-    assert QuadraticDiagonal([1.0, 2.0, 10.0]).curvature_bounds() == (1.0, 10.0)
-
-
-def test_polynomial_curvature_needs_interval():
-    pot = Polynomial1D(1.0, 4, 0.0)
-    with pytest.raises(ValueError):
-        pot.curvature_bounds()
-    lo, hi = pot.curvature_bounds((0.5, 2.0))
-    assert lo == 12.0 * 0.25 and hi == 12.0 * 4.0
-    # optimizer inside the interval: curvature dips to zero there
-    lo, hi = pot.curvature_bounds((-1.0, 2.0))
-    assert lo == 0.0 and hi == 48.0
 
 
 def test_validation():
@@ -50,8 +36,6 @@ def test_validation():
         Polynomial1D(-1.0, 4)
     with pytest.raises(ValueError):
         Polynomial1D(1.0, 3)  # odd degree is nonconvex
-    with pytest.raises(ValueError):
-        QuadraticDiagonal([1.0, 2.0]).value([1.0])
     for lam, xstar in (([1.0, math.nan], None), ([math.inf], None), ([1.0], [math.nan])):
         with pytest.raises(ValueError):
             QuadraticDiagonal(lam, xstar=xstar)
@@ -71,7 +55,7 @@ def test_gradient_finite_difference():
             h = rng.normal(size=pot.dim)
             g = float(np.dot(pot.grad_rows(x), h))
             for s in (1e-4, 1e-5):
-                fd = (pot.value(x + s * h) - pot.value(x - s * h)) / (2.0 * s)
+                fd = (_f(pot, x + s * h) - _f(pot, x - s * h)) / (2.0 * s)
                 tol = 1e-6 * (1.0 + np.linalg.norm(pot.grad_rows(x)) * np.linalg.norm(h))
                 assert abs(fd - g) <= tol
 
@@ -84,8 +68,8 @@ def test_convexity_on_samples():
         for _ in range(100):
             x = rng.normal(size=pot.dim) * 2
             y = rng.normal(size=pot.dim) * 2
-            mid = pot.value(0.5 * x + 0.5 * y)
-            assert mid <= 0.5 * pot.value(x) + 0.5 * pot.value(y) + 1e-12
+            mid = _f(pot, 0.5 * x + 0.5 * y)
+            assert mid <= 0.5 * _f(pot, x) + 0.5 * _f(pot, y) + 1e-12
 
 
 def test_immutability():
