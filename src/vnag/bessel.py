@@ -46,8 +46,8 @@ _STEP_TERMS = 30  # Taylor terms of one unit step while building the anchors
 _MU = 4.0  # 4 * nu^2 for nu = 1
 
 
-def _series(x: float) -> tuple[float, float, float, float]:
-    """(J1, Y1, J1', Y1') from the power series; accurate for x < ~5.
+def _series(x: float) -> tuple[float, float]:
+    """(J1, Y1) from the power series; accurate for x < ~5.
 
     DLMF 10.8.1 specialized to order one:
     Y1(x) = (2/pi) ln(x/2) J1(x) - 2/(pi x)
@@ -55,24 +55,17 @@ def _series(x: float) -> tuple[float, float, float, float]:
     """
     half = 0.5 * x
     q = -half * half
-    term = half  # (-1)^k (x/2)^(2k+1) / (k! (k+1)!); its x-derivative is (2k+1) term / x
+    term = half  # (-1)^k (x/2)^(2k+1) / (k! (k+1)!)
     g = 1.0 - 2.0 * _EULER_GAMMA  # digamma(k+1) + digamma(k+2) = H_k + H_{k+1} - 2 gamma
-    j = dj = term
-    s = ds = term * g
+    j, s = term, term * g
     for k in range(1, 40):
         term *= q / (k * (k + 1))
         g += 1.0 / k + 1.0 / (k + 1)
-        m = 2 * k + 1
         j += term
-        dj += m * term
         s += term * g
-        ds += m * term * g
         if abs(term) < 1e-17 * half:
             break
-    log_half = math.log(half)
-    y = (2.0 * log_half * j - 2.0 / x - s) / math.pi
-    dy = (2.0 * (j + log_half * dj) / x + 2.0 / (x * x) - ds / x) / math.pi
-    return j, y, dj / x, dy
+    return j, (2.0 * math.log(half) * j - 2.0 / x - s) / math.pi
 
 
 def _taylor_coeffs(x0: float, f: float, df: float, n: int) -> list:
@@ -96,8 +89,24 @@ def _unit_step(a: list) -> tuple[float, float]:
 
 
 def _build_anchors() -> tuple[tuple, tuple]:
-    """Reversed (Horner-order) Taylor coefficients of J1 and Y1 at each anchor."""
-    j, y, dj, dy = _series(_ANCHORS[0] - 1.0)
+    """Reversed (Horner-order) Taylor coefficients of J1 and Y1 at each anchor;
+    the start at x = 4 differentiates `_series` term by term ((2k+1) term / x)."""
+    x = _ANCHORS[0] - 1.0
+    half = 0.5 * x
+    q = -half * half
+    term = half
+    g = 1.0 - 2.0 * _EULER_GAMMA
+    dj, ds = term, term * g
+    for k in range(1, 40):
+        term *= q / (k * (k + 1))
+        g += 1.0 / k + 1.0 / (k + 1)
+        dj += (2 * k + 1) * term
+        ds += (2 * k + 1) * term * g
+        if abs(term) < 1e-17 * half:
+            break
+    j, y = _series(x)
+    dy = (2.0 * (j + math.log(half) * dj) / x + 2.0 / (x * x) - ds / x) / math.pi
+    dj /= x
     j_coeffs, y_coeffs = [], []
     for x0 in range(_ANCHORS[0] - 1, _ANCHORS[-1] + 1):
         aj = _taylor_coeffs(float(x0), j, dj, _STEP_TERMS)
@@ -165,8 +174,7 @@ def _j1_y1(x: float) -> tuple[float, float]:
             raise NumericalError(f"bessel_y1({x!r}) overflows float64")
         return 0.5 * x, y
     if x < _SERIES_MAX:
-        j, y, _, _ = _series(x)
-        return j, y
+        return _series(x)
     if x < _SWITCH:
         x0 = int(x + 0.5)
         return _taylor(x, _J_COEFFS, x0), _taylor(x, _Y_COEFFS, x0)

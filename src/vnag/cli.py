@@ -35,6 +35,10 @@ from .svgchart import line_chart
 _INITIAL_CONDITION_NOTE = ("initial conditions (x0, v0=0) and start time t1 are "
                            "tool defaults; they are not externally prescribed")
 
+# Caps far above the largest counts in use (40,000 steps in `reproduce poly`, 6 modes):
+# a larger count would end in numpy's MemoryError or a run of hours, not a config error.
+_MAX_STEPS, _MAX_MODES = 1_000_000, 10_000
+
 
 # --------------------------------------------------------------------------
 # config parsing
@@ -66,9 +70,11 @@ def _as_float(v, where: str) -> float:
     return x
 
 
-def _as_int(v, where: str) -> int:
+def _as_int(v, where: str, cap: float = math.inf) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where} must be an integer, got {v!r}")
+    if v > cap:
+        raise ConfigError(f"{where} must be at most {cap}, got {v!r}")
     return v
 
 
@@ -156,7 +162,7 @@ def _problem(cfg: dict) -> tuple:
 def _n_steps(cfg: dict, default: int) -> int:
     integ = cfg.get("integration", {})
     _reject_unknown(integ, {"n_steps"}, "integration")
-    return _as_int(integ.get("n_steps", default), "n_steps")
+    return _as_int(integ.get("n_steps", default), "n_steps", _MAX_STEPS)
 
 
 def _expand_perturbation(d: dict, t1: float, t2: float, seed: int) -> list:
@@ -190,7 +196,7 @@ def _expand_perturbation(d: dict, t1: float, t2: float, seed: int) -> list:
             _reject_unknown(entry, {"kind", "seed", "n_modes", "decay",
                                     "sigma", "component"}, "fourier perturbation")
             h = fourier_sine(_as_int(entry.get("seed", seed), "seed"),
-                             _as_int(_need(entry, "n_modes", "fourier"), "n_modes"),
+                             _as_int(_need(entry, "n_modes", "fourier"), "n_modes", _MAX_MODES),
                              _as_float(_need(entry, "decay", "fourier"), "decay"),
                              t1, t2)
         else:

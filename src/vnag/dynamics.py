@@ -15,10 +15,11 @@ fixed-step RK4 in phase space (X, V); fixed grids are what the quadrature and
 conjugate-point machinery downstream require.  Linear systems (quadratic
 flows in x - x*, and Jacobi fields) chain per-direction 2x2 RK4 step maps by
 a chunked prefix scan; one-dimensional nonlinear flows, and the first-order
-gradient flow on them, step in Python floats.
+gradient flow on them, step in Python floats with f' inlined.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,10 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .potentials import Potential, QuadraticDiagonal
+from .potentials import Polynomial1D, Potential, QuadraticDiagonal
 
 _UNIFORM_RTOL = 1e-12
-_CHUNK = 4096  # steps x directions per scan chunk; bounds the propagator's memory
+_CHUNK = 4096  # steps (x directions) per chunk; bounds the propagator's and _march's memory
 
 
 @dataclass(frozen=True)
@@ -251,24 +252,35 @@ def _check_steps(n_steps, minimum: int):
         raise ValueError(f"need an integer n_steps >= {minimum}, got {n_steps!r}")
 
 
-def _march(rhs: Callable, x: float, v: float, t1: float, h: float, n_steps: int):
-    """Classical RK4 on one scalar state (x, v) with (x', v') = rhs(t, x, v),
-    in Python floats; returns x and v, (n_steps + 1,) each, on the grid."""
-    xs, vs = [x], [v]
+def _march(pot: Polynomial1D, damping, x: float, v: float, t1: float, h: float, n_steps: int):
+    """Classical RK4 in Python floats for X'' + d(t) X' + s(t) f'(X) = 0 on a Polynomial1D from
+    (x, v) at t1; returns x and v, (n_steps + 1,) each, on the grid.  Per chunk of steps, d and
+    s come from one array call each over the step starts, midpoints (stages 2 and 3) and ends,
+    a scalar repeated; f' is inlined in grad_rows' operation order."""
+    ap, q, xstar, hh, h6 = pot.a * pot.p, pot.p - 1, pot.xstar, 0.5 * h, h / 6.0
+    path_x, path_v = [x], [v]
     try:
-        for i in range(n_steps):
-            t = t1 + i * h
-            a1, b1 = rhs(t, x, v)
-            a2, b2 = rhs(t + 0.5 * h, x + 0.5 * h * a1, v + 0.5 * h * b1)
-            a3, b3 = rhs(t + 0.5 * h, x + 0.5 * h * a2, v + 0.5 * h * b2)
-            a4, b4 = rhs(t + h, x + h * a3, v + h * b3)
-            x = x + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            v = v + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            xs.append(x)
-            vs.append(v)
-    except OverflowError as exc:  # float ** and math.exp raise where numpy gives inf
+        for i0 in range(0, n_steps, _CHUNK):
+            t = t1 + h * np.arange(i0, min(i0 + _CHUNK, n_steps))
+            with np.errstate(over="ignore"):  # an infinite d or s surfaces in the state
+                sched = [itertools.repeat(float(r), len(t)) if np.ndim(r) == 0 else r.tolist()
+                         for s in (t, t + hh, t + h)
+                         for r in (damping.coefficient(s), damping.force(s))]
+            for d1, s1, d2, s2, d4, s4 in zip(*sched):
+                b1 = -d1 * v - s1 * (ap * (x - xstar) ** q)
+                a2 = v + hh * b1
+                b2 = -d2 * a2 - s2 * (ap * (x + hh * v - xstar) ** q)
+                a3 = v + hh * b2
+                b3 = -d2 * a3 - s2 * (ap * (x + hh * a2 - xstar) ** q)
+                a4 = v + h * b3
+                b4 = -d4 * a4 - s4 * (ap * (x + h * a3 - xstar) ** q)
+                x = x + h6 * (v + 2.0 * a2 + 2.0 * a3 + a4)
+                v = v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                path_x.append(x)
+                path_v.append(v)
+    except OverflowError as exc:  # float ** raises where numpy gives inf
         raise NumericalError("non-finite state encountered during integration") from exc
-    xs, vs = np.array(xs), np.array(vs)
+    xs, vs = np.array(path_x), np.array(path_v)
     # divergence that stays below OverflowError surfaces as NaN/inf in the state
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         raise NumericalError("non-finite state encountered during integration")
@@ -293,9 +305,7 @@ def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0,
                             x0 - pot.xstar, v0, t1, t2, n_steps)
         xs += pot.xstar
         return Trajectory(t, xs, vs)
-    grad = pot.grad_rows
-    xs, vs = _march(lambda s, x, v: (v, -coef(s) * v - force(s) * grad(x)),
-                    float(x0[0]), float(v0[0]), t1, (t2 - t1) / n_steps, n_steps)
+    xs, vs = _march(pot, damping, float(x0[0]), float(v0[0]), t1, (t2 - t1) / n_steps, n_steps)
     return Trajectory(t, xs, vs)
 
 
@@ -315,11 +325,22 @@ def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
         with np.errstate(over="ignore", invalid="ignore"):
             r = 1.0 - z + z ** 2 / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
             xs = pot.xstar + (x0 - pot.xstar) * r ** np.arange(n_steps + 1)[:, None]
-        if not np.all(np.isfinite(xs)):
-            raise NumericalError("non-finite state encountered during integration")
-    else:
-        grad = pot.grad_rows
-        xs, _ = _march(lambda s, x, v: (-grad(x), 0.0), float(x0[0]), 0.0, t1, h, n_steps)
+    else:  # RK4 in Python floats, f' inlined as in _march
+        x, ap, q, hh, h6 = float(x0[0]), pot.a * pot.p, pot.p - 1, 0.5 * h, h / 6.0
+        xs = [x]
+        try:
+            for _ in range(n_steps):
+                a1 = -(ap * (x - pot.xstar) ** q)
+                a2 = -(ap * (x + hh * a1 - pot.xstar) ** q)
+                a3 = -(ap * (x + hh * a2 - pot.xstar) ** q)
+                a4 = -(ap * (x + h * a3 - pot.xstar) ** q)
+                x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                xs.append(x)
+        except OverflowError as exc:
+            raise NumericalError("non-finite state encountered during integration") from exc
+        xs = np.array(xs)
+    if not np.all(np.isfinite(xs)):
+        raise NumericalError("non-finite state encountered during integration")
     return Trajectory(np.linspace(t1, t2, n_steps + 1), xs, -pot.grad_rows(xs))
 
 
@@ -364,8 +385,11 @@ class BregmanParams:
 
 
 def _pointwise(fn: Callable[[float], float], t):
-    """fn at a scalar t, or an array of fn over an array of times."""
-    return fn(t) if np.ndim(t) == 0 else np.array([fn(s) for s in t])
+    """fn at a scalar t, or an array of fn over an array of times; overflow is NumericalError."""
+    try:
+        return fn(t) if np.ndim(t) == 0 else np.array([fn(s) for s in t])
+    except OverflowError as exc:
+        raise NumericalError("damping schedule overflows float64") from exc
 
 
 def nesterov_recovering_params() -> BregmanParams:

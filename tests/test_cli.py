@@ -91,6 +91,9 @@ def test_invalid_values_rejected(tmp_path):
         {**base, "initial": {"x0": "bad"}},
         {**base, "integration": {"n_steps": 2.5}},
         {**base, "integration": {"n_steps": 2}},
+        # rejected by the cap before anything is allocated
+        {**base, "integration": {"n_steps": 10_000_000_000_000}},
+        {**base, "integration": {"n_steps": 1_000_001}},
         *({**base, "seed": seed} for seed in ("abc", None, [1], 1.5, True)),
     ]
     for i, cfg in enumerate(bad_cfgs):
@@ -108,7 +111,10 @@ def test_invalid_perturbations_rejected(tmp_path):
                                 [{"kind": "sinusoid", "k": 1, "bogus": 1}],
                                 [{"kind": "sinusoid", "k": 1, "component": 5}],
                                 [{"kind": "sinusoid", "k": 1, "component": -1}],
-                                [{"kind": "sinusoid", "k": []}]]):
+                                [{"kind": "sinusoid", "k": []}],
+                                [{"kind": "fourier", "n_modes": 10_000_000_000_000,
+                                  "decay": 1.5}],
+                                [{"kind": "fourier", "n_modes": 10_001, "decay": 1.5}]]):
         path = _write_cfg(tmp_path / f"p{i}.json", {**base, "perturbations": probes})
         assert main(["second-variation", "--config", path, "--out",
                      str(tmp_path / f"po{i}")]) == 2

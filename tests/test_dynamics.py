@@ -94,13 +94,18 @@ def test_bregman_recovers_vanishing_flow():
         assert np.max(np.abs(tr1.v - tr2.v)) <= 1e-10
 
 
-def test_bregman_with_unshifted_beta_scales_the_force():
-    # beta(t) = 2 log t (no -log 4 shift) turns the force into 4 grad f
-    params = BregmanParams(
+def _unshifted_beta():
+    """Nesterov's schedule with beta(t) = 2 log t (no -log 4 shift): the force is 4."""
+    return BregmanParams(
         alpha=TimeFunction(lambda t: math.log(2.0 / t), lambda t: -1.0 / t),
         beta=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
         gamma=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
     )
+
+
+def test_bregman_with_unshifted_beta_scales_the_force():
+    # the unshifted beta turns the force into 4 grad f
+    params = _unshifted_beta()
     for pot, pot4 in ((QuadraticDiagonal([1.0]), QuadraticDiagonal([4.0])),
                       (Polynomial1D(1.0, 4), Polynomial1D(4.0, 4))):
         tr = integrate_flow(pot, params, [1.0], [0.0], 0.1, 10.0, 4000)
@@ -239,21 +244,28 @@ def _reference_rk4(rhs, y0, t1, t2, n):
     return out
 
 
-def test_scalar_stepper_matches_reference_rk4():
+def test_scalar_stepper_matches_reference_rk4(monkeypatch):
     # the float stepper does the reference's operations in the same order,
-    # so Polynomial1D flows and gradient flows agree bit for bit
-    for p, damping in itertools.product((2, 4, 6), (Vanishing(3.0), Vanishing(2.5), Constant(0.7))):
+    # so Polynomial1D flows and gradient flows agree bit for bit; the
+    # unshifted-beta schedule pins the force column (4, not 1)
+    dampings = (Vanishing(3.0), Vanishing(2.5), Constant(0.7), _unshifted_beta())
+    one_chunk = dynamics._CHUNK
+    for p, damping in itertools.product((2, 4, 6), dampings):
         pot = Polynomial1D(0.8, p, 0.1)
 
         def grad(x):
             return np.array([pot.a * p * (x[0] - pot.xstar) ** (p - 1)])
 
         def rhs(t, y):
-            return np.concatenate((y[1:], -damping.coefficient(t) * y[1:] - grad(y[:1])))
+            return np.concatenate((y[1:], -damping.coefficient(t) * y[1:]
+                                   - damping.force(t) * grad(y[:1])))
 
         ref = _reference_rk4(rhs, [1.2, -0.3], 0.2, 6.0, 600)
-        got = integrate_flow(pot, damping, [1.2], [-0.3], 0.2, 6.0, 600)
-        assert np.array_equal(got.x[:, 0], ref[:, 0]) and np.array_equal(got.v[:, 0], ref[:, 1])
+        for chunk in (one_chunk, 7):  # one schedule chunk, and 86 with a short last one
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            got = integrate_flow(pot, damping, [1.2], [-0.3], 0.2, 6.0, 600)
+            assert np.array_equal(got.x[:, 0], ref[:, 0])
+            assert np.array_equal(got.v[:, 0], ref[:, 1])
         ref = _reference_rk4(lambda t, y: -grad(y), [1.2], 0.2, 6.0, 600)
         got = integrate_gradient_flow(pot, [1.2], 0.2, 6.0, 600)
         assert np.array_equal(got.x[:, 0], ref[:, 0])
@@ -272,3 +284,13 @@ def test_divergence_raises_numerical_error():
         integrate_gradient_flow(Polynomial1D(1.0, 4), [1e120], 0.0, 1.0, 10)
     with pytest.raises(NumericalError):
         integrate_gradient_flow(QuadraticDiagonal([1e300]), [1.0], 0.0, 10.0, 10)
+    # math.exp of a Bregman schedule overflows on the propagator path and the
+    # float stepper alike
+    zero = TimeFunction(lambda t: 0.0, lambda t: 0.0)
+    steep = BregmanParams(TimeFunction(lambda t: 800.0 * t, lambda t: 800.0), zero, zero)
+    for pot in (QuadraticDiagonal([1.0]), Polynomial1D(1.0, 4)):
+        with pytest.raises(NumericalError):
+            integrate_flow(pot, steep, [1.0], [0.0], 0.0, 1.0, 10)
+        # c/t overflows to inf without a RuntimeWarning
+        with pytest.raises(NumericalError):
+            integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 1e-320, 1.0, 10)
