@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,10 @@ _INITIAL_CONDITION_NOTE = ("initial conditions (x0, v0=0) and start time t1 are 
 
 # Caps far above the largest counts in use (40,000 steps in `reproduce poly`, 6 modes):
 # a larger count would end in numpy's MemoryError or a run of hours, not a config error.
+# `simulate` also caps its table of (n_steps + 1) x (2 dim + 1) numbers at the
+# size of the 1-d table at the step cap.
 _MAX_STEPS, _MAX_MODES = 1_000_000, 10_000
+_MAX_CELLS = 3 * (_MAX_STEPS + 1)
 
 
 # --------------------------------------------------------------------------
@@ -251,40 +254,51 @@ def _csv(header: list, *blocks: list) -> str:
 
     A block is a list of columns, one per header field.  A float array
     column prints each cell with printf `%.17g` (17 significant digits, so
-    every double round-trips; nan, inf, -0 as `nan`, `inf`, `-0`).  A list,
-    or an integer array, prints each cell with `%s`, i.e. `str(cell)`, so
-    float columns must come as float arrays.  A scalar fills the whole
-    column and is formatted once (a float with `%.17g`), into the row
-    template; a block needs at least one sequence column.  Each block is
-    rendered by one `%` call on that template; the formats are pinned by
-    tests/test_outputs.py.
+    every double round-trips; nan, inf, -0 as `nan`, `inf`, `-0`).  A bytes
+    array from `numtext.g17_cells` (a column shared by several blocks,
+    printed once) prints as it is.  A list, or an integer array, prints each
+    cell as `str(cell)`, so float columns must come as float arrays.  A
+    scalar fills the whole column and is printed once (a float with
+    `%.17g`); a block needs at least one sequence column.  The rows of all
+    blocks go to `numtext.csv_rows` in one call, which prints what `%`
+    prints and leaves to `%` each cell whose rounding it cannot prove; the
+    formats are pinned by tests/test_outputs.py.
     """
-    lines = [",".join(header)]
+    from . import numtext  # loaded with the first text output, not with vnag
+    sizes = []
     for cols in blocks:
-        fmt, cells = [], []
-        for col in cols:
-            if isinstance(col, np.ndarray):
-                fmt.append("%.17g" if col.dtype.kind == "f" else "%s")
-                cells.append(col.tolist())
-            elif isinstance(col, (list, tuple)):
-                fmt.append("%s")
-                cells.append(col)
-            else:
-                text = "%.17g" % col if isinstance(col, float) else str(col)
-                fmt.append(text.replace("%", "%%"))
-        n = len(cells[0])
-        if any(len(c) != n for c in cells):
+        lengths = {len(c) for c in cols if isinstance(c, (np.ndarray, list, tuple))}
+        if len(lengths) != 1:
             raise ValueError("CSV columns differ in length")
-        if n:
-            lines.append("\n".join([",".join(fmt)] * n)
-                         % tuple(chain.from_iterable(zip(*cells))))
-    return "\n".join(lines) + "\n"
+        if len(cols) != len(header):
+            raise ValueError("CSV block and header differ in width")
+        sizes.append(lengths.pop())
+    text = ",".join(header) + "\n"
+    if sum(sizes):
+        text += numtext.csv_rows([_csv_column([cols[j] for cols in blocks], sizes)
+                                  for j in range(len(header))])
+    return text
 
 
-def _fmt17(values: np.ndarray) -> list:
-    """`%.17g` of each value, as a list of str: a `_csv` column shared by
-    several blocks is formatted once."""
-    return ("%.17g\n" * len(values) % tuple(values.tolist())).splitlines()
+def _csv_column(parts: list, sizes: list) -> np.ndarray:
+    """One column over all blocks: float64 if every block gives a float
+    array, else bytes, one cell per row."""
+    from . import numtext
+    if all(isinstance(p, np.ndarray) and p.dtype.kind == "f" for p in parts):
+        return np.concatenate(parts, dtype=float)
+    cells = []
+    for part, n in zip(parts, sizes):
+        if isinstance(part, np.ndarray) and part.dtype.kind == "S":
+            cells.append(part)
+        elif isinstance(part, np.ndarray) and part.dtype.kind == "f":
+            cells.append(numtext.g17_cells(part))
+        elif isinstance(part, (np.ndarray, list, tuple)):
+            items = part.tolist() if isinstance(part, np.ndarray) else part
+            cells.append(np.array([str(c).encode() for c in items], dtype=bytes))
+        else:
+            text = "%.17g" % part if isinstance(part, float) else str(part)
+            cells.append(np.full(n, text.encode()))
+    return np.concatenate(cells)
 
 
 # --------------------------------------------------------------------------
@@ -299,6 +313,10 @@ def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
     x0 = _as_vector(_need(init, "x0", "initial"), "x0")
     v0 = (_as_vector(init["v0"], "v0") if "v0" in init
           else np.zeros_like(x0))
+    cells = (n_steps + 1) * (2 * x0.size + 1)
+    if cells > _MAX_CELLS:
+        raise ConfigError(f"n_steps {n_steps} in {x0.size} dimensions makes a table of "
+                          f"{cells} numbers; at most {_MAX_CELLS}")
     traj = integrate_flow(pot, damping, x0, v0, t1, t2, n_steps)
     residual = el_residual(traj, pot, damping)
     results = {"el_residual": residual, "n_steps": n_steps}
@@ -458,6 +476,7 @@ def _reproduce_fig1(writer: Writer) -> dict:
 
 
 def _reproduce_fig2(writer: Writer) -> dict:
+    from .numtext import g17_cells
     betas = [0.5, 1.0, 2.0, 4.0, 8.0]
     slopes = [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]
     conj = {}
@@ -473,7 +492,7 @@ def _reproduce_fig2(writer: Writer) -> dict:
             ts, ys, _ = jacobi_solution(spec, beta, t1, t_end, 4000)
             # the Jacobi equation is linear: one unit-slope solution scales
             # to every initial velocity in the fan
-            t_cells, y8 = _fmt17(ts[::8]), ys[::8]
+            t_cells, y8 = g17_cells(ts[::8]), ys[::8]
             blocks += [[beta, s, t_cells, s * y8] for s in slopes]
             series.append((f"beta={beta:g}", ts, ys))
             markers.append((tau, 0.0, "#000"))
@@ -648,7 +667,8 @@ def _run(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vnag",
         description="accelerated-flow action analysis: simulate flows, evaluate "
@@ -665,7 +685,11 @@ def main(argv=None) -> int:
         if name == "reproduce":
             p.add_argument("--figure", required=True,
                            choices=sorted(_FIGURES), help="experiment to run")
-    return _run(parser.parse_args(argv))
+    return parser
+
+
+def main(argv=None) -> int:
+    return _run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

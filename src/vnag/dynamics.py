@@ -172,14 +172,13 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV serialization: t,x_0..x_{d-1},v_0..v_{d-1}, every number printed
-        with printf `%.17g` (17 significant digits) by one `%` call over the
-        whole table; the format is pinned by tests/test_outputs.py."""
+        with printf `%.17g` (17 significant digits) by `numtext.csv_rows`,
+        which prints what `%` prints and leaves to `%` each cell whose
+        rounding it cannot prove; the format is pinned by tests/test_outputs.py."""
+        from .numtext import csv_rows  # loaded with the first text output, not with vnag
         d = self.dim
         header = ",".join(["t"] + [f"x_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)])
-        table = np.column_stack([self.t, self.x, self.v])
-        row = ",".join(["%.17g"] * table.shape[1])
-        body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
-        return f"{header}\n{body}\n"
+        return f"{header}\n" + csv_rows([self.t, *self.x.T, *self.v.T])
 
 
 def _step_maps(dampf, qfn, t, h):

@@ -2,7 +2,9 @@
 
 CSV files are the authoritative experiment output; these charts are a
 convenience for eyeballing them.  Output is deterministic (coordinates
-printed with printf `%.2f`, no timestamps).
+printed with printf `%.2f`, polylines by `numtext.polylines`, which prints
+what `%` prints and leaves to `%` each value whose rounding it cannot
+prove; no timestamps).
 """
 from __future__ import annotations
 
@@ -14,9 +16,16 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
 
 
+def _upper(lo: float, hi: float) -> float:
+    """hi, or above lo if the range is empty: lo + 1, or lo + |lo| * 1e-12
+    where 1 is below lo's resolution."""
+    if hi > lo:
+        return hi
+    return lo + 1.0 if lo + 1.0 > lo else lo + abs(lo) * 1e-12
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _upper(lo, hi)
     raw = (hi - lo) / (n - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -28,6 +37,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
     v = start
     while v <= hi + 1e-9 * step:
         out.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # a range of a few ulps: the step is below v's resolution
+            break
         v += step
     return out
 
@@ -40,22 +51,25 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
         sequences of numbers, taken as float64.
     markers: optional list of (x, y, color) scatter points.
 
-    Each polyline is printed by one `%` call with `%.2f` per coordinate; the
-    pixel arithmetic runs on float64 arrays in the order of the scalar
-    `px`/`py`, so every coordinate is the double the scalar form gives.
+    Every polyline of the chart is printed by one `numtext.polylines` call,
+    `%.2f` per coordinate; the pixel arithmetic runs on float64 arrays in
+    the order of the scalar `px`/`py`, so every coordinate is the double the
+    scalar form gives.
     """
+    from .numtext import polylines  # loaded with the first text output, not with vnag
     pad_l, pad_r, pad_t, pad_b = 62, 16, 34, 46
     series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for label, xs, ys in series]
+    if any(len(xs) != len(ys) for _, xs, ys in series):
+        raise ValueError("a series has x and y of different lengths")
     marks = markers or []
-    xs_all = np.concatenate([xs for _, xs, _ in series] + [[m[0] for m in marks]])
-    ys_all = np.concatenate([ys for _, _, ys in series] + [[m[1] for m in marks]])
+    xs_line = np.concatenate([xs for _, xs, _ in series])
+    ys_line = np.concatenate([ys for _, _, ys in series])
+    xs_all = np.concatenate([xs_line, [m[0] for m in marks]])
+    ys_all = np.concatenate([ys_line, [m[1] for m in marks]])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_hi, y_hi = _upper(x_lo, x_hi), _upper(y_lo, y_hi)
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
     plot_w = width - pad_l - pad_r
@@ -98,10 +112,9 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
         parts.append(f'<text x="14" y="{pad_t + plot_h / 2:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 14 {pad_t + plot_h / 2:.1f})">{ylabel}</text>')
-    for idx, (label, xs, ys) in enumerate(series):
+    points = polylines(px(xs_line), py(ys_line), [len(xs) for _, xs, _ in series])
+    for idx, ((label, _, _), pts) in enumerate(zip(series, points)):
         color = _PALETTE[idx % len(_PALETTE)]
-        xy = np.column_stack([px(xs), py(ys)])
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.4"/>')
         if label:

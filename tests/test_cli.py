@@ -52,6 +52,22 @@ def test_simulate_equilibrium_constant_csv(tmp_path):
     assert xs == {"1.5"}
 
 
+@pytest.mark.parametrize("potential, initial", [
+    # x stays within an ulp or two of 1: the tick step is below x's resolution
+    ({"kind": "quadratic", "eigenvalues": [1e-300]}, {"x0": [1.0], "v0": [4.4e-16]}),
+    # a flow resting at 1e17, where + 1.0 cannot widen the range
+    ({"kind": "quadratic", "eigenvalues": [1.0], "xstar": [1e17]}, {"x0": [1e17]}),
+], ids=["ulp_range", "constant_1e17"])
+def test_simulate_degenerate_chart_range(tmp_path, potential, initial):
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "potential": potential, "damping": {"kind": "vanishing", "c": 3.0},
+        "interval": {"t1": 1.0, "t2": 9.0}, "integration": {"n_steps": 8},
+        "initial": initial})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "figure.svg").read_text().startswith("<svg")
+
+
 def test_simulate_el_residual(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json", {
         "potential": {"kind": "quadratic", "eigenvalues": [1.0]},
@@ -94,6 +110,11 @@ def test_invalid_values_rejected(tmp_path):
         # rejected by the cap before anything is allocated
         {**base, "integration": {"n_steps": 10_000_000_000_000}},
         {**base, "integration": {"n_steps": 1_000_001}},
+        # the table (n_steps + 1) x (2 dim + 1) is capped at the 1-d table at the step cap
+        {**base, "potential": {"kind": "quadratic", "eigenvalues": [1.0, 2.0, 3.0]},
+         "initial": {"x0": [1.0, 1.0, 1.0]}, "integration": {"n_steps": 1_000_000}},
+        {**base, "potential": {"kind": "quadratic", "eigenvalues": [1.0] * 50},
+         "initial": {"x0": [1.0] * 50}, "integration": {"n_steps": 100_000}},
         *({**base, "seed": seed} for seed in ("abc", None, [1], 1.5, True)),
     ]
     for i, cfg in enumerate(bad_cfgs):

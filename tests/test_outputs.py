@@ -1,8 +1,10 @@
 """The CSV and SVG number formats, pinned against per-value formatters.
 
 `cli._csv`, `Trajectory.to_csv` and `svgchart.line_chart` render whole
-tables and polylines with one `%` call each.  The reference formatters here
-do it one value at a time, the way the files were first written: CSV
+tables and polylines through `numtext`, which prints the same formats with
+float64 arithmetic and leaves to printf, one cell at a time, each value whose
+rounding it cannot prove.  The reference formatters here do it one value at
+a time, the way the files were first written: CSV
 numbers as `f"{v:.17g}"` (other cells as `str(v)`), SVG coordinates as
 `f"{px:.2f},{py:.2f}"` from scalar pixel arithmetic.  The outputs must be
 equal as strings, so a file written by one version reads the same in the
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag.cli import _csv, _fmt17
+from vnag.cli import _csv
 from vnag.dynamics import Trajectory
-from vnag.svgchart import line_chart
+from vnag.numtext import g17_cells
+from vnag.svgchart import _ticks, line_chart
 
 _EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
              2.2250738585072014e-308, 1.7976931348623157e308,
@@ -104,19 +107,20 @@ def test_csv_empty_table():
 
 
 def test_csv_blocks_with_shared_column():
-    # fig2's layout: per block two constants, one pre-formatted column and
-    # one array, rows of all blocks in turn
+    # fig2's layout: per block two constants, one pre-formatted bytes column
+    # and one array, rows of all blocks in turn
     t = np.linspace(1.0, 2.0, 7)
     y = np.sin(3.0 * t) / t
     blocks, rows = [], []
     for beta in (0.5, 2.0):
-        t_cells = _fmt17(t)
+        t_cells = g17_cells(t)
+        assert [c.decode() for c in t_cells] == [f"{v:.17g}" for v in t]
         for s in (-1.0, 0.2):
             blocks.append([beta, s, t_cells, s * (beta * y)])
             rows += [(beta, s, float(tk), float(s * (beta * yk))) for tk, yk in zip(t, y)]
     header = ["beta", "slope", "t", "h"]
     assert _csv(header, *blocks) == _ref_csv(rows, header)
-    assert _fmt17(np.array([])) == []
+    assert g17_cells(np.array([])).tolist() == []
 
 
 def test_csv_column_lengths_must_agree():
@@ -173,3 +177,9 @@ def test_line_chart_coordinates(series, markers):
     ref = _ref_chart_coords([(lbl, _as_list(xs), _as_list(ys)) for lbl, xs, ys in series],
                             markers)
     assert _chart_coords(svg) == (ref[0], [tuple(c) for c in ref[1]])
+
+
+def test_ticks_end_on_a_range_of_a_few_ulps():
+    # the step (1e-16) is below the resolution of 1.0: `v += step` stops moving
+    ticks = _ticks(1 - 1.1e-17, 1.0000000000000002 + 1.1e-17)
+    assert 1 <= len(ticks) <= 5
