@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingSchedule, Trajectory, _check_interval, _check_steps
+from .dynamics import (DampingSchedule, Trajectory, _check_interval, _check_steps,
+                       _uniform_step)
 from .perturbations import _check_admissible
 from .potentials import Polynomial1D, Potential, QuadraticDiagonal
 
@@ -68,13 +69,11 @@ def action(spec: LagrangianSpec, curve: Trajectory) -> float:
     total = 0.0
     for i0, i1 in _segment_slices(curve):
         t = curve.t[i0:i1 + 1]
-        d = np.diff(t)
-        if np.any(np.abs(d - d[0]) > 1e-12 * max(abs(t[0]), abs(t[-1]))):
-            raise ValueError("segment grid is not uniform")
+        step = _uniform_step(t)
         kinetic = 0.5 * np.einsum("ij,ij->i", curve.v[i0:i1 + 1], curve.v[i0:i1 + 1])
         integrand = np.asarray(spec.weight(t), dtype=float) \
             * (kinetic - spec.pot.value_rows(curve.x[i0:i1 + 1]))
-        total += _simpson(integrand, float(d[0]))
+        total += _simpson(integrand, step)
     return float(total)
 
 

@@ -1,17 +1,18 @@
 """Experiment runner: `vnag <subcommand> --config cfg.json --out DIR [--seed N]`.
 
 Subcommands: simulate, second-variation, classify, reproduce.  Configs are
-single JSON documents with unknown fields rejected; outputs are CSV/JSON
-(authoritative) plus small SVG charts, all byte-deterministic for a fixed
-config and seed.  Exit codes: 0 ok, 2 config error (any `ValueError`: the
-library raises it only to reject its arguments), 3 numerical failure
-(`NumericalError`, or a float overflow).
+single JSON documents; the table `_CONFIG` lists every field, and unknown
+ones are rejected.  Outputs are CSV/JSON (authoritative) plus small SVG
+charts, all byte-deterministic for a fixed config and seed.  Exit codes: 0
+ok, 2 config error (any `ValueError`: the library raises it only to reject
+its arguments), 3 numerical failure (`NumericalError`, or a float overflow).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -47,20 +48,6 @@ _MAX_CELLS = 3 * (_MAX_STEPS + 1)
 # config parsing
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _need(d: dict, key: str, where: str):
-    if not isinstance(d, dict) or key not in d:
-        raise ConfigError(f"missing required field '{key}' in {where}")
-    return d[key]
-
-
 def _as_float(v, where: str) -> float:
     if isinstance(v, bool):
         raise ConfigError(f"{where} must be a number, got {v!r}")
@@ -81,12 +68,6 @@ def _as_int(v, where: str, cap: float = math.inf) -> int:
     return v
 
 
-def _floats(v, where: str) -> list:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where} must be a non-empty array, got {v!r}")
-    return [_as_float(x, where) for x in v]
-
-
 def _as_vector(v, where: str) -> np.ndarray:
     if isinstance(v, bool) or (isinstance(v, list) and any(isinstance(x, bool) for x in v)):
         raise ConfigError(f"{where} must be a numeric array, got {v!r}")
@@ -101,114 +82,132 @@ def _as_vector(v, where: str) -> np.ndarray:
     return arr
 
 
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _fields(d, where: str, spec: dict, keys=None) -> dict:
+    """The fields `keys` (default: all) of the config object d, each parsed
+    by its spec entry (parser, default).  Unknown and missing required
+    fields are rejected; an absent field gets its default, parsed like a
+    given value, or None."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    if unknown := set(d) - set(spec):
+        raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    out = {}
+    for key in spec if keys is None else keys:
+        parse, default = spec[key]
+        if key not in d and default is _REQUIRED:
+            raise ConfigError(f"missing required field '{key}' in {where}")
+        value = d.get(key, default)
+        out[key] = None if value is None and key not in d else parse(value, f"{where} {key}")
+    return out
+
+
+def _object(spec: dict):
+    """Parser of a config object: its parsed fields as a tuple, in spec order."""
+    return lambda d, where: tuple(_fields(d, where, spec).values())
+
+
+def _kind(d, where: str, kinds: dict) -> tuple:
+    """(kind, other fields) of a kind-tagged config object; the kind must
+    be a known string, checked before any other field."""
+    kind = d.get("kind") if isinstance(d, dict) else d
+    if not isinstance(d, dict) or not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where} must be a JSON object of kind {' or '.join(kinds)}, "
+                          f"got {kind!r}")
+    return kind, {key: v for key, v in d.items() if key != "kind"}
+
+
+def _tagged(d, where: str, kinds: dict):
+    """A kind-tagged config object, built by its kind's constructor from
+    the parsed fields, passed by name."""
+    kind, rest = _kind(d, where, kinds)
+    build, spec = kinds[kind]
+    return build(**_fields(rest, where, spec))
+
+
+def _entries(v, where: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return v
+
+
+# The config format.  Each field is (parser, default): _REQUIRED, a config
+# value parsed like a given one, or None, which leaves an absent field to
+# the command or to the constructor it feeds.  A kind-tagged object maps
+# each kind to its constructor and fields.
+_POTENTIALS = {
+    "quadratic": (QuadraticDiagonal, {
+        "eigenvalues": (_as_vector, _REQUIRED),
+        # null, like no xstar, puts the minimum at the origin
+        "xstar": (lambda v, where: None if v is None else _as_vector(v, where), None)}),
+    "polynomial": (Polynomial1D, {
+        "a": (_as_float, _REQUIRED), "p": (_as_int, _REQUIRED), "xstar": (_as_float, 0.0)}),
+}
+_DAMPINGS = {"vanishing": (Vanishing, {"c": (_as_float, 3.0)}),
+             "constant": (Constant, {"alpha": (_as_float, _REQUIRED)})}
+# a probe also takes its window t1, t2; _expand_perturbation applies the
+# shared fields and gives a fourier probe without a seed the run's seed
+_PROBES = {
+    "triangle": (triangle, {
+        "c": (_as_float, _REQUIRED), "eps": (_as_float, _REQUIRED), "delta": (_as_float, None)}),
+    "sinusoid": (sinusoid, {"k": (_as_int, _REQUIRED)}),
+    "fourier": (fourier_sine, {
+        "seed": (_as_int, None), "n_modes": (functools.partial(_as_int, cap=_MAX_MODES), _REQUIRED),
+        "decay": (_as_float, _REQUIRED)}),
+}
+_PROBE_SHARED = {"sigma": (_as_float, 1.0), "component": (_as_int, 0)}
+_SWEEP_LIST = (lambda v, where: _as_vector(v, where).tolist(), None)
+_CONFIG = {
+    "experiment": (lambda v, where: v, None),  # echoed into report.json as given
+    "seed": (_as_int, 0),  # --seed overrides it
+    "potential": (functools.partial(_tagged, kinds=_POTENTIALS), _REQUIRED),
+    "damping": (functools.partial(_tagged, kinds=_DAMPINGS), _REQUIRED),
+    "interval": (_object({"t1": (_as_float, _REQUIRED), "t2": (_as_float, _REQUIRED)}), _REQUIRED),
+    # n_steps None: the command's default
+    "integration": (_object({"n_steps": (functools.partial(_as_int, cap=_MAX_STEPS), None)}), {}),
+    # v0 None: at rest
+    "initial": (_object({"x0": (_as_vector, _REQUIRED), "v0": (_as_vector, None)}), _REQUIRED),
+    "perturbations": (_entries, _REQUIRED),  # each entry by _expand_perturbation
+    # None: the window's length, its start, and the config's damping
+    "sweep": (_object({"lengths": _SWEEP_LIST, "t1": _SWEEP_LIST, "alpha": _SWEEP_LIST}), {}),
+}
+
+
+def _config(cfg: dict, *names: str) -> list:
+    """The config's fields `names`, each parsed by its _CONFIG entry."""
+    return list(_fields(cfg, "config", _CONFIG, names).values())
+
+
 def load_config(path: str) -> dict:
+    """The JSON object in the file `path`, checked for unknown fields."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(cfg, {"experiment", "potential", "damping", "interval",
-                          "integration", "initial", "perturbations", "sweep",
-                          "seed"}, "config")
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _config(cfg)
     return cfg
 
 
-def build_potential(d: dict):
-    if not isinstance(d, dict):
-        raise ConfigError("potential must be an object")
-    kind = _need(d, "kind", "potential")
-    if kind == "quadratic":
-        _reject_unknown(d, {"kind", "eigenvalues", "xstar"}, "potential")
-        xstar = d.get("xstar")
-        return QuadraticDiagonal(_as_vector(_need(d, "eigenvalues", "potential"), "eigenvalues"),
-                                 None if xstar is None else _as_vector(xstar, "xstar"))
-    if kind == "polynomial":
-        _reject_unknown(d, {"kind", "a", "p", "xstar"}, "potential")
-        return Polynomial1D(_as_float(_need(d, "a", "potential"), "a"),
-                            _as_int(_need(d, "p", "potential"), "p"),
-                            _as_float(d.get("xstar", 0.0), "xstar"))
-    raise ConfigError(f"unknown potential kind {kind!r}")
-
-
-def build_damping(d: dict):
-    if not isinstance(d, dict):
-        raise ConfigError("damping must be an object")
-    kind = _need(d, "kind", "damping")
-    if kind == "vanishing":
-        _reject_unknown(d, {"kind", "c"}, "damping")
-        return Vanishing(_as_float(d.get("c", 3.0), "damping c"))
-    if kind == "constant":
-        _reject_unknown(d, {"kind", "alpha"}, "damping")
-        return Constant(_as_float(_need(d, "alpha", "damping"), "alpha"))
-    raise ConfigError(f"unknown damping kind {kind!r}")
-
-
-def _interval(cfg: dict) -> tuple:
-    """(t1, t2) as numbers; the library entry points check the window."""
-    iv = _need(cfg, "interval", "config")
-    _reject_unknown(iv, {"t1", "t2"}, "interval")
-    return (_as_float(_need(iv, "t1", "interval"), "interval t1"),
-            _as_float(_need(iv, "t2", "interval"), "interval t2"))
-
-
-def _problem(cfg: dict) -> tuple:
-    """(potential, damping, t1, t2) of a config."""
-    return (build_potential(_need(cfg, "potential", "config")),
-            build_damping(_need(cfg, "damping", "config")), *_interval(cfg))
-
-
-def _n_steps(cfg: dict, default: int) -> int:
-    integ = cfg.get("integration", {})
-    _reject_unknown(integ, {"n_steps"}, "integration")
-    return _as_int(integ.get("n_steps", default), "n_steps", _MAX_STEPS)
-
-
-def _expand_perturbation(d: dict, t1: float, t2: float, seed: int) -> list:
-    """One config entry -> list of probes (a list-valued field sweeps)."""
-    if not isinstance(d, dict):
-        raise ConfigError("perturbation must be an object")
-    kind = _need(d, "kind", "perturbation")
-    swept = [key for key, val in d.items() if isinstance(val, list)]
+def _expand_perturbation(d, t1: float, t2: float, seed: int) -> list:
+    """One perturbations entry -> its probes on [t1, t2] (a list-valued
+    field sweeps)."""
+    kind, rest = _kind(d, "perturbation", _PROBES)
+    swept = [key for key, val in rest.items() if isinstance(val, list)]
     if len(swept) > 1:
         raise ConfigError("at most one perturbation field may be a list")
-    if swept and not d[swept[0]]:
+    if swept and not rest[swept[0]]:
         raise ConfigError(f"perturbation field '{swept[0]}' sweeps an empty list")
-    entries = [{**d, key: v} for key in swept for v in d[key]] or [d]
+    build, spec = _PROBES[kind]
     out = []
-    for entry in entries:
-        sigma = _as_float(entry.get("sigma", 1.0), "sigma")
-        comp = _as_int(entry.get("component", 0), "component")
-        if kind == "triangle":
-            _reject_unknown(entry, {"kind", "c", "eps", "delta", "sigma",
-                                    "component"}, "triangle perturbation")
-            h = triangle(_as_float(_need(entry, "c", "triangle"), "c"),
-                         _as_float(_need(entry, "eps", "triangle"), "eps"),
-                         t1, t2,
-                         delta=(_as_float(entry["delta"], "delta")
-                                if "delta" in entry else None))
-        elif kind == "sinusoid":
-            _reject_unknown(entry, {"kind", "k", "sigma", "component"},
-                            "sinusoid perturbation")
-            h = sinusoid(_as_int(_need(entry, "k", "sinusoid"), "k"), t1, t2)
-        elif kind == "fourier":
-            _reject_unknown(entry, {"kind", "seed", "n_modes", "decay",
-                                    "sigma", "component"}, "fourier perturbation")
-            h = fourier_sine(_as_int(entry.get("seed", seed), "seed"),
-                             _as_int(_need(entry, "n_modes", "fourier"), "n_modes", _MAX_MODES),
-                             _as_float(_need(entry, "decay", "fourier"), "decay"),
-                             t1, t2)
-        else:
-            raise ConfigError(f"unknown perturbation kind {kind!r}")
-        if sigma != 1.0:
-            h = scale(h, sigma)
-        if comp:
-            h = dataclasses.replace(h, component=comp)
-        out.append(h)
+    for entry in [{**rest, key: v} for key in swept for v in rest[key]] or [rest]:
+        fields = _fields(entry, f"{kind} perturbation", {**_PROBE_SHARED, **spec})
+        sigma, component = fields.pop("sigma"), fields.pop("component")
+        if kind == "fourier" and fields["seed"] is None:
+            fields["seed"] = seed
+        h = scale(build(**fields, t1=t1, t2=t2), sigma)
+        out.append(dataclasses.replace(h, component=component))
     return out
 
 
@@ -225,12 +224,15 @@ class Writer:
         self.dir = Path(out_dir)
         self.paths: list[Path] = []
 
-    def text(self, name: str, content: str) -> str:
+    def write(self, name: str, chunks) -> str:
+        """Write an iterable of bytes to the file `name`; the path is recorded
+        first, so cleanup also removes a file whose chunks failed part way."""
         if not self.paths:
             self.dir.mkdir(parents=True, exist_ok=True)
         p = self.dir / name
-        p.write_text(content)
         self.paths.append(p)
+        with p.open("wb") as f:
+            f.writelines(chunks)
         return str(p)
 
     def json(self, name: str, obj) -> str:
@@ -239,7 +241,7 @@ class Writer:
             text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise NumericalError(f"{name}: {exc}") from exc
-        return self.text(name, text + "\n")
+        return self.write(name, [(text + "\n").encode()])
 
     def cleanup(self):
         for p in self.paths:
@@ -249,8 +251,9 @@ class Writer:
                 pass
 
 
-def _csv(header: list, *blocks: list) -> str:
-    """CSV text: the header line, then the rows of each block in turn.
+def _csv(header: list, *blocks: list):
+    """CSV as an iterator of bytes chunks for `Writer.write`: the header
+    line, then the rows of each block in turn, printed as they are read.
 
     A block is a list of columns, one per header field.  A float array
     column prints each cell with printf `%.17g` (17 significant digits, so
@@ -260,7 +263,7 @@ def _csv(header: list, *blocks: list) -> str:
     cell as `str(cell)`, so float columns must come as float arrays.  A
     scalar fills the whole column and is printed once (a float with
     `%.17g`); a block needs at least one sequence column.  The rows of all
-    blocks go to `numtext.csv_rows` in one call, which prints what `%`
+    blocks go to `numtext.csv_chunks` in one call, which prints what `%`
     prints and leaves to `%` each cell whose rounding it cannot prove; the
     formats are pinned by tests/test_outputs.py.
     """
@@ -273,11 +276,15 @@ def _csv(header: list, *blocks: list) -> str:
         if len(cols) != len(header):
             raise ValueError("CSV block and header differ in width")
         sizes.append(lengths.pop())
-    text = ",".join(header) + "\n"
-    if sum(sizes):
-        text += numtext.csv_rows([_csv_column([cols[j] for cols in blocks], sizes)
-                                  for j in range(len(header))])
-    return text
+    rows = (numtext.csv_chunks([_csv_column([cols[j] for cols in blocks], sizes)
+                                for j in range(len(header))]) if sum(sizes) else ())
+    return itertools.chain([(",".join(header) + "\n").encode()], rows)
+
+
+def _trajectory_csv(traj: Trajectory):
+    """CSV of a sampled flow: t,x_0..x_{d-1},v_0..v_{d-1}."""
+    names = [f"{q}_{i}" for q in "xv" for i in range(traj.dim)]
+    return _csv(["t", *names], [traj.t, *traj.x.T, *traj.v.T])
 
 
 def _csv_column(parts: list, sizes: list) -> np.ndarray:
@@ -306,13 +313,10 @@ def _csv_column(parts: list, sizes: list) -> np.ndarray:
 
 
 def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
-    pot, damping, t1, t2 = _problem(cfg)
-    n_steps = _n_steps(cfg, 4000)
-    init = _need(cfg, "initial", "config")
-    _reject_unknown(init, {"x0", "v0"}, "initial")
-    x0 = _as_vector(_need(init, "x0", "initial"), "x0")
-    v0 = (_as_vector(init["v0"], "v0") if "v0" in init
-          else np.zeros_like(x0))
+    pot, damping, (t1, t2), (n_steps,), (x0, v0) = _config(
+        cfg, "potential", "damping", "interval", "integration", "initial")
+    n_steps = 4000 if n_steps is None else n_steps
+    v0 = np.zeros_like(x0) if v0 is None else v0
     cells = (n_steps + 1) * (2 * x0.size + 1)
     if cells > _MAX_CELLS:
         raise ConfigError(f"n_steps {n_steps} in {x0.size} dimensions makes a table of "
@@ -327,10 +331,10 @@ def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
                 lam, damping.alpha, x0[i] - pot.xstar[i], v0[i], traj.t, t0=t1)
             err = max(err, float(np.max(np.abs(traj.x[:, i] - ref))))
         results["closed_form_max_error"] = err
-    writer.text("trajectory.csv", traj.to_csv())
+    writer.write("trajectory.csv", _trajectory_csv(traj))
     series = [(f"x_{i}", traj.t, traj.x[:, i]) for i in range(traj.dim)]
-    writer.text("figure.svg", line_chart(series, title="flow trajectory",
-                                         xlabel="t", ylabel="x"))
+    writer.write("figure.svg", [line_chart(series, title="flow trajectory",
+                                           xlabel="t", ylabel="x").encode()])
     return {"results": results,
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"],
                        "interval": {"t1": t1, "t2": t2},
@@ -353,13 +357,12 @@ def _closed_form_for(h, spec: LagrangianSpec) -> float | None:
 
 
 def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
-    pot, damping, t1, t2 = _problem(cfg)
-    n_steps = _n_steps(cfg, 4096)
+    pot, damping, (t1, t2), (n_steps,) = _config(
+        cfg, "potential", "damping", "interval", "integration")
+    n_steps = 4096 if n_steps is None else n_steps
     spec = LagrangianSpec(damping, pot)
-    raw = _need(cfg, "perturbations", "config")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("perturbations must be a non-empty list")
-    probes = [h for entry in raw for h in _expand_perturbation(entry, t1, t2, seed)]
+    probes = [h for entry in _config(cfg, "perturbations")[0]
+              for h in _expand_perturbation(entry, t1, t2, seed)]
     table = []
     for h in probes:
         quad = second_variation(spec, t1, t2, h, n_steps=n_steps)
@@ -383,15 +386,15 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
         raise NumericalError("d2J quadrature is not finite")
     # dtype=float turns a missing closed form (None) into nan
     closed = np.array([e["d2j_closed_form"] for e in table], dtype=float)
-    writer.text("d2j.csv", _csv(["index", "d2j_quadrature", "d2j_closed_form"],
-                                [idx, quad, closed]))
+    writer.write("d2j.csv", _csv(["index", "d2j_quadrature", "d2j_closed_form"],
+                                 [idx, quad, closed]))
     if len(table) > 1:
         series = [("quadrature", idx, quad)]
         if all(e["d2j_closed_form"] is not None for e in table):
             series.append(("closed form", idx, closed))
-        writer.text("figure.svg", line_chart(
+        writer.write("figure.svg", [line_chart(
             series, title="second variation by probe", xlabel="probe index",
-            ylabel="d2J"))
+            ylabel="d2J").encode()])
     return {"results": {"table": table, "sign_changes": sign_changes},
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"],
                        "interval": {"t1": t1, "t2": t2}, "n_steps": n_steps},
@@ -399,24 +402,18 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
 
 
 def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
-    pot, damping, t1, t2 = _problem(cfg)
+    pot, damping, (t1, t2) = _config(cfg, "potential", "damping", "interval")
     if not isinstance(pot, QuadraticDiagonal):
         raise ConfigError("classification needs a quadratic potential")
-    sweep = cfg.get("sweep", {})
-    _reject_unknown(sweep, {"lengths", "t1", "alpha"}, "sweep")
-    lengths = _floats(sweep.get("lengths", [t2 - t1]), "sweep lengths")
-    starts = _floats(sweep.get("t1", [t1]), "sweep t1")
-    dampings = ([damping] if "alpha" not in sweep
-                else [Constant(a) for a in _floats(sweep["alpha"], "sweep alpha")])
+    lengths, starts, alphas = _config(cfg, "sweep")[0]  # a given list is never empty
+    lengths, starts = lengths or [t2 - t1], starts or [t1]
+    dampings = [damping] if alphas is None else [Constant(a) for a in alphas]
     records = []
     for dmp in dampings:
         for start in starts:
             for length in lengths:
                 cls = classify(pot, dmp, start, start + length)
-                rec = {"damping": ({"kind": "constant", "alpha": dmp.alpha}
-                                   if isinstance(dmp, Constant)
-                                   else {"kind": "vanishing", "c": dmp.c}),
-                       "t1": start, "t2": start + length,
+                rec = {"damping": dmp.descriptor(), "t1": start, "t2": start + length,
                        "classification": cls.to_dict()}
                 if cls.verdict == "saddle" and isinstance(dmp, Vanishing) and dmp.c == 3.0:
                     beta = float(pot.eigenvalues.max())
@@ -429,7 +426,7 @@ def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
             # None (no binding eigenvalue) becomes nan
             np.array([r["classification"]["binding_eigenvalue"] for r in records],
                      dtype=float)]
-    writer.text("classify.csv", _csv(["t1", "t2", "verdict", "binding_eigenvalue"], cols))
+    writer.write("classify.csv", _csv(["t1", "t2", "verdict", "binding_eigenvalue"], cols))
     return {"results": {"records": records},
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"]},
             "notes": []}
@@ -464,9 +461,9 @@ def _reproduce_fig1(writer: Writer) -> dict:
                       "d2j_quadrature": d2, "d2j_closed_form": closed,
                       "delta_action": action(spec, disp) - action(spec, base)})
     series = [(lbl, traj.t, traj.x[:, 0]) for lbl, traj in curves.items()]
-    writer.text("fig1_curves.csv", _csv(["curve", "t", "x"], *series))
-    writer.text("fig1.svg", line_chart(
-        series, title="flow and two perturbation directions", xlabel="t", ylabel="x"))
+    writer.write("fig1_curves.csv", _csv(["curve", "t", "x"], *series))
+    writer.write("fig1.svg", [line_chart(
+        series, title="flow and two perturbation directions", xlabel="t", ylabel="x").encode()])
     return {"results": {"table": table, "epsilon_star": star},
             "inputs": {"potential": "quadratic beta=1", "damping": "vanishing c=3",
                        "interval": {"t1": t1, "t2": t2}},
@@ -496,11 +493,10 @@ def _reproduce_fig2(writer: Writer) -> dict:
             blocks += [[beta, s, t_cells, s * y8] for s in slopes]
             series.append((f"beta={beta:g}", ts, ys))
             markers.append((tau, 0.0, "#000"))
-        writer.text(f"fig2_t1_{t1:g}.csv",
-                    _csv(["beta", "slope", "t", "h"], *blocks))
-        writer.text(f"fig2_t1_{t1:g}.svg", line_chart(
+        writer.write(f"fig2_t1_{t1:g}.csv", _csv(["beta", "slope", "t", "h"], *blocks))
+        writer.write(f"fig2_t1_{t1:g}.svg", [line_chart(
             series, title=f"Jacobi solutions from t1={t1:g} (unit slope)",
-            xlabel="t", ylabel="h", markers=markers))
+            xlabel="t", ylabel="h", markers=markers).encode()])
     return {"results": {"first_conjugate_times": conj},
             "inputs": {"betas": betas, "t1_values": [1.0, 4.0]},
             "notes": ["higher curvature pulls the first conjugate point earlier"]}
@@ -542,9 +538,9 @@ def _reproduce_fig3(writer: Writer) -> dict:
                np.array([w["length"] for w in rec["windows"]], dtype=float),
                np.array([w["action"] for w in rec["windows"]], dtype=float),
                [w["verdict"] for w in rec["windows"]]] for rec in records]
-    writer.text("fig3_actions.csv", _csv(["alpha", "length", "action", "verdict"], *blocks))
-    writer.text("fig3.svg", line_chart(series, title="objective along constant-damping flows",
-                                       xlabel="t", ylabel="f(x)"))
+    writer.write("fig3_actions.csv", _csv(["alpha", "length", "action", "verdict"], *blocks))
+    writer.write("fig3.svg", [line_chart(series, title="objective along constant-damping flows",
+                                         xlabel="t", ylabel="f(x)").encode()])
     return {"results": {"records": records},
             "inputs": {"objective": "0.02 x^2 + 0.0004 y^2",
                        "hessian_eigenvalues": [0.04, 0.0008],
@@ -576,7 +572,7 @@ def _reproduce_unbounded(writer: Writer) -> dict:
         results["actions"].append({"sigma": sigma, "action_small_eps": j_small,
                                    "action_large_eps": j_large})
     header = ["sigma", "action_small_eps", "action_large_eps"]
-    writer.text("unbounded.csv", _csv(header, [
+    writer.write("unbounded.csv", _csv(header, [
         np.array([a[key] for a in results["actions"]], dtype=float) for key in header]))
     return {"results": results,
             "inputs": {"potential": "quadratic beta=1", "damping": "vanishing c=3",
@@ -608,9 +604,10 @@ def _reproduce_poly(writer: Writer) -> dict:
                         "searched_up_to": cap})
     # a window without a conjugate point (None) prints as nan
     header = ["window_start", "first_conjugate_time", "conjugate_free_length"]
-    writer.text("poly_windows.csv", _csv(header, [
+    writer.write("poly_windows.csv", _csv(header, [
         np.array([r[key] for r in records], dtype=float) for key in header]))
-    writer.text("poly_base.csv", Trajectory(base.t[::10], base.x[::10], base.v[::10]).to_csv())
+    sampled = Trajectory(base.t[::10], base.x[::10], base.v[::10])
+    writer.write("poly_base.csv", _trajectory_csv(sampled))
     return {"results": {"records": records,
                         "conjugate_free_from_start": threshold},
             "inputs": {"potential": "x^4", "damping": "vanishing c=3",
@@ -636,12 +633,8 @@ def _run(args) -> int:
     writer = Writer(args.out)
     start = time.perf_counter()
     try:
-        cfg, seed = {}, args.seed
-        if args.config:
-            cfg = load_config(args.config)
-            if seed is None and "seed" in cfg:
-                seed = _as_int(cfg["seed"], "seed")
-        seed = 0 if seed is None else seed
+        cfg = load_config(args.config) if args.config else {}
+        seed = _config(cfg, "seed")[0] if args.seed is None else args.seed
         body = (_FIGURES[args.figure](writer) if args.command == "reproduce"
                 else _COMMANDS[args.command](cfg, writer, seed))
         elapsed = time.perf_counter() - start

@@ -91,6 +91,16 @@ class Constant:
 DampingSchedule = Vanishing | Constant
 
 
+def _uniform_step(t: np.ndarray) -> float:
+    """The step of a uniform time grid; ValueError if the grid is not
+    uniform.  The tolerance is on the time scale, not the step: linspace
+    carries last-ulp jitter proportional to |t|."""
+    d = np.diff(t)
+    if not np.all(np.abs(d - d[0]) <= _UNIFORM_RTOL * max(abs(t[0]), abs(t[-1]))):
+        raise ValueError("time grid is not uniform")
+    return float(d[0])
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A sampled C^1 curve: times t, positions x (n, d), velocities v (n, d).
@@ -136,18 +146,8 @@ class Trajectory:
         return float(self.t[-1])
 
     @property
-    def is_uniform(self) -> bool:
-        d = np.diff(self.t)
-        # tolerance on the time scale, not the step: linspace carries
-        # last-ulp jitter proportional to |t|
-        tol = _UNIFORM_RTOL * max(abs(self.t[0]), abs(self.t[-1]))
-        return bool(np.all(np.abs(d - d[0]) <= tol))
-
-    @property
     def step(self) -> float:
-        if not self.is_uniform:
-            raise ValueError("trajectory grid is not uniform")
-        return float(self.t[1] - self.t[0])
+        return _uniform_step(self.t)
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Cubic-Hermite evaluation of (x, v) at arbitrary times in range."""
@@ -169,16 +169,6 @@ class Trajectory:
         vs = ((6 * s2 - 6 * s)[:, None] * (x0 - x1)) / wc \
             + (3 * s2 - 4 * s + 1)[:, None] * v0 + (3 * s2 - 2 * s)[:, None] * v1
         return xs, vs
-
-    def to_csv(self) -> str:
-        """CSV serialization: t,x_0..x_{d-1},v_0..v_{d-1}, every number printed
-        with printf `%.17g` (17 significant digits) by `numtext.csv_rows`,
-        which prints what `%` prints and leaves to `%` each cell whose
-        rounding it cannot prove; the format is pinned by tests/test_outputs.py."""
-        from .numtext import csv_rows  # loaded with the first text output, not with vnag
-        d = self.dim
-        header = ",".join(["t"] + [f"x_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)])
-        return f"{header}\n" + csv_rows([self.t, *self.x.T, *self.v.T])
 
 
 def _step_maps(dampf, qfn, t, h):

@@ -13,6 +13,7 @@ time over the eigendirections decides the verdict.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,12 @@ _DIP_FRACTION = 1e-11
 _SEARCH_SPAN = 50.0  # first-conjugate search cap: t1 + 50/sqrt(lam)
 
 
+def _fields_dict(report) -> dict:
+    """A report dataclass as a JSON-ready dict: every field, tuples as lists."""
+    return {f.name: list(v) if isinstance(v := getattr(report, f.name), tuple) else v
+            for f in dataclasses.fields(report)}
+
+
 @dataclass(frozen=True)
 class ConjugateReport:
     """Times in (t1, t2) conjugate to t1 for one eigendirection.
@@ -48,13 +55,7 @@ class ConjugateReport:
     method: str  # "closed_form" or "shooting"
 
     def to_dict(self) -> dict:
-        return {
-            "eigen_lambda": self.eigen_lambda,
-            "t1": self.t1,
-            "t2": self.t2,
-            "conjugate_times": list(self.conjugate_times),
-            "method": self.method,
-        }
+        return _fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,7 @@ class Classification:
     binding_eigenvalue: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "t1": self.t1,
-            "t2": self.t2,
-            "eigenvalues": list(self.eigenvalues),
-            "first_conjugate_times": list(self.first_conjugate_times),
-            "binding_eigenvalue": self.binding_eigenvalue,
-        }
+        return _fields_dict(self)
 
 
 # --------------------------------------------------------------------------

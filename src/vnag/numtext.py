@@ -215,11 +215,11 @@ def _f2(values: np.ndarray) -> np.ndarray:
     return _fallback(cells, values, fb, "%.2f")
 
 
-def _rows(columns: list, cells, sep: bytes, end) -> bytes:
+def _rows(columns: list, cells, sep: bytes, end):
     """Rows of equal-length columns joined by `sep`, each ended by `end` (one
-    byte, or one per row).  A float64 column is printed by `cells`; a bytes
-    column (numpy 'S') is copied as it is.  Works in chunks of about _CHUNK
-    cells."""
+    byte, or one per row), yielded as bytes chunks of about _CHUNK cells.  A
+    float64 column is printed by `cells`; a bytes column (numpy 'S') is
+    copied as it is."""
     n, ncol = len(columns[0]), len(columns)
     floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
     texts = [j for j in range(ncol) if j not in floats]
@@ -227,7 +227,6 @@ def _rows(columns: list, cells, sep: bytes, end) -> bytes:
     end = np.broadcast_to(np.frombuffer(end, np.uint8) if isinstance(end, bytes) else end,
                           (n,))
     step = max(1, _CHUNK // ncol)
-    out = []
     for i0 in range(0, n, step):
         r = min(n, i0 + step) - i0
         block = None
@@ -246,26 +245,23 @@ def _rows(columns: list, cells, sep: bytes, end) -> bytes:
             block = full
         block[:, :, -1] = seps
         block[:, -1, -1] = end[i0:i0 + r]
-        out.append(block.tobytes().translate(None, b"\0"))
-    return b"".join(out)
+        yield block.tobytes().translate(None, b"\0")
 
 
-def csv_rows(columns: list) -> str:
-    """CSV rows of equal-length columns, each row ended by a newline: a
-    float64 column prints every cell with printf `%.17g` (17 significant
-    digits, so every double round-trips; nan, inf, -0 as `nan`, `inf`,
-    `-0`), a bytes column (numpy 'S', from `g17_cells` or encoded text)
-    prints its cells as they are."""
-    return _rows(columns, _g17, b",", b"\n").decode() if len(columns[0]) else ""
+def csv_chunks(columns: list):
+    """CSV rows of equal-length columns, each row ended by a newline, as
+    bytes chunks: a float64 column prints every cell with printf `%.17g`
+    (17 significant digits, so every double round-trips; nan, inf, -0 as
+    `nan`, `inf`, `-0`), a bytes column (numpy 'S', from `g17_cells` or
+    encoded text) prints its cells as they are."""
+    return _rows(columns, _g17, b",", b"\n")
 
 
 def g17_cells(values: np.ndarray) -> np.ndarray:
     """The `%.17g` text of each value as a bytes array (numpy 'S24'): a CSV
     column shared by several blocks is printed once."""
     values = np.asarray(values, dtype=float)
-    if not len(values):
-        return np.array([], dtype="S24")
-    return np.array(_rows([values], _g17, b",", b"\n").split(b"\n")[:-1], dtype="S24")
+    return np.array(b"".join(csv_chunks([values])).split(b"\n")[:-1], dtype="S24")
 
 
 def polylines(xs: np.ndarray, ys: np.ndarray, counts: list) -> list:
@@ -277,7 +273,7 @@ def polylines(xs: np.ndarray, ys: np.ndarray, counts: list) -> list:
         return [""] * len(counts)
     end = np.full(int(counts.sum()), ord(" "), np.uint8)
     end[np.cumsum(counts)[counts > 0] - 1] = ord("\n")
-    text = _rows([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)],
-                 _f2, b",", end).decode()
+    text = b"".join(_rows([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)],
+                          _f2, b",", end)).decode()
     parts = iter(text.split("\n"))
     return [next(parts) if k else "" for k in counts]

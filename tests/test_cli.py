@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag.cli import main
+from vnag.cli import _CONFIG, _config, _expand_perturbation, load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_cfg(path, cfg):
@@ -116,11 +118,25 @@ def test_invalid_values_rejected(tmp_path):
         {**base, "potential": {"kind": "quadratic", "eigenvalues": [1.0] * 50},
          "initial": {"x0": [1.0] * 50}, "integration": {"n_steps": 100_000}},
         *({**base, "seed": seed} for seed in ("abc", None, [1], 1.5, True)),
+        # a kind must be a known string, read before any other field
+        {**base, "potential": {"kind": ["quadratic"], "eigenvalues": [1.0]}},
+        {**base, "potential": {"kind": {"quadratic": 1}, "eigenvalues": [1.0]}},
+        {**base, "potential": {"eigenvalues": [1.0]}},
+        {**base, "damping": {"kind": ["vanishing"]}},
+        {**base, "damping": {"kind": {"vanishing": 1}}},
+        {**base, "damping": {"c": 3.0}},
+        # every config object is a JSON object without unknown fields
+        {**base, "initial": 5},
+        {**base, "initial": {"x0": [1.0], "bogus": 1}},
+        {**base, "integration": 5},
+        {**base, "integration": []},
+        {**base, "integration": {"n_steps": 8, "bogus": 1}},
     ]
     for i, cfg in enumerate(bad_cfgs):
         path = _write_cfg(tmp_path / f"bad{i}.json", cfg)
         assert main(["simulate", "--config", path, "--out",
-                     str(tmp_path / f"o{i}")]) == 2
+                     str(tmp_path / f"o{i}")]) == 2, cfg
+        assert not (tmp_path / f"o{i}").exists()
 
 
 def test_invalid_perturbations_rejected(tmp_path):
@@ -135,10 +151,15 @@ def test_invalid_perturbations_rejected(tmp_path):
                                 [{"kind": "sinusoid", "k": []}],
                                 [{"kind": "fourier", "n_modes": 10_000_000_000_000,
                                   "decay": 1.5}],
-                                [{"kind": "fourier", "n_modes": 10_001, "decay": 1.5}]]):
+                                [{"kind": "fourier", "n_modes": 10_001, "decay": 1.5}],
+                                # the kind is checked before a list-valued field sweeps
+                                [{"kind": ["sinusoid"], "k": 1}],
+                                [{"kind": {"sinusoid": 1}, "k": 1}],
+                                [{"k": 1}]]):
         path = _write_cfg(tmp_path / f"p{i}.json", {**base, "perturbations": probes})
         assert main(["second-variation", "--config", path, "--out",
-                     str(tmp_path / f"po{i}")]) == 2
+                     str(tmp_path / f"po{i}")]) == 2, probes
+        assert not (tmp_path / f"po{i}").exists()
     for i, n_steps in enumerate([-1, 0]):
         path = _write_cfg(tmp_path / f"n{i}.json", {
             **base, "perturbations": [{"kind": "sinusoid", "k": 1}],
@@ -210,13 +231,40 @@ def test_non_finite_input_rejected(tmp_path, field, value):
     {"t1": [-1.0]},
     {"alpha": 1.0},
     {"lengths": []},
+    5,
+    [],
+    {"lengths": [1.0], "bogus": 1},
 ], ids=["negative_alpha", "negative_length", "negative_start", "scalar_alpha",
-        "empty_lengths"])
+        "empty_lengths", "number", "list", "unknown_field"])
 def test_bad_sweep_rejected(tmp_path, sweep):
     cfg = _write_cfg(tmp_path / "cfg.json", {**_CLASSIFY, "sweep": sweep})
     out = tmp_path / "out"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
-    assert not list(out.glob("*"))
+    assert not out.exists()
+
+
+def test_readme_config_example_parses(tmp_path):
+    # README's "Config format" example shows every top-level field and, in
+    # its `or` comments, every potential and damping kind; all of it must
+    # parse with the field table in cli.py
+    readme = (ROOT / "README.md").read_text().split("### Config format", 1)[1]
+    lines = readme.split("```jsonc\n", 1)[1].split("```", 1)[0].splitlines()
+    path = tmp_path / "readme.json"
+    path.write_text("\n".join(line.split("//", 1)[0] for line in lines))
+    cfg = load_config(str(path))
+    assert set(cfg) == set(_CONFIG)
+    parsed = dict(zip(cfg, _config(cfg, *cfg)))
+    t1, t2 = parsed["interval"]
+    probes = [h for entry in parsed["perturbations"]
+              for h in _expand_perturbation(entry, t1, t2, parsed["seed"])]
+    assert [h.kind for h in probes] == ["triangle"] * 3 + ["sinusoid", "fourier"]
+    field = None
+    for line in lines:
+        if line.lstrip().startswith('"'):
+            field = line.split('"')[1]
+        elif " or {" in line:
+            alternative = json.loads(line.split(" or ", 1)[1])
+            assert type(_config({field: alternative}, field)[0]) is not type(parsed[field])
 
 
 def test_classify_tiny_start_time(tmp_path):

@@ -10,6 +10,7 @@ from vnag import (BregmanParams, Constant, NumericalError, Polynomial1D,
                   integrate_flow, integrate_gradient_flow,
                   nesterov_recovering_params)
 from vnag import dynamics
+from vnag.cli import _trajectory_csv
 
 
 def test_critical_damping_closed_form():
@@ -182,7 +183,7 @@ def test_preconditions():
 def test_csv_roundtrip():
     pot = QuadraticDiagonal([1.0, 2.0])
     traj = integrate_flow(pot, Constant(1.0), [1.0, -1.0], [0.0, 0.5], 0.0, 1.0, 10)
-    text = traj.to_csv()
+    text = b"".join(_trajectory_csv(traj)).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "t,x_0,x_1,v_0,v_1"
     assert len(lines) == 12

@@ -1,5 +1,5 @@
 """`numtext` prints what Python's `%` prints, byte for byte: `%.17g` through
-`csv_rows` and `g17_cells`, `%.2f` through `polylines`, on the fast path and
+`csv_chunks` and `g17_cells`, `%.2f` through `polylines`, on the fast path and
 on the per-cell `%` fallback alike."""
 import math
 
@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnag import numtext
-from vnag.numtext import _CHUNK, _K0, _K1, csv_rows, g17_cells, polylines
+from vnag.numtext import _CHUNK, _K0, _K1, csv_chunks, g17_cells, polylines
+
+
+def _csv_text(columns):
+    return b"".join(csv_chunks(columns)).decode()
 
 
 def _assert_g17(values):
     values = np.asarray(values, dtype=float)
     want = [f"{v:.17g}" for v in values.tolist()]
-    assert csv_rows([values]).split("\n")[:-1] == want
+    assert _csv_text([values]).split("\n")[:-1] == want
     assert [c.decode() for c in g17_cells(values)] == want
 
 
@@ -71,15 +75,15 @@ def test_chunk_seams_with_fallback_cells():
         values[i] = (math.nan, 0.0, 0.125, 1e300)[i % 4]
     _assert_g17(values)
     _assert_f2(values)
-    two = csv_rows([values, values[::-1].copy()]).split("\n")[:-1]
+    two = _csv_text([values, values[::-1].copy()]).split("\n")[:-1]
     assert two == [f"{a:.17g},{b:.17g}" for a, b in zip(values.tolist(), values[::-1].tolist())]
 
 
 def test_bytes_columns_and_polyline_cuts():
     vals = np.array([0.5, -2.0, math.nan])
     text = np.array([b"ok", b"", b"50%"])
-    assert csv_rows([text, vals, g17_cells(vals)]) == "ok,0.5,0.5\n,-2,-2\n50%,nan,nan\n"
-    assert csv_rows([np.array([], dtype=float)]) == ""
+    assert _csv_text([text, vals, g17_cells(vals)]) == "ok,0.5,0.5\n,-2,-2\n50%,nan,nan\n"
+    assert _csv_text([np.array([], dtype=float)]) == ""
     xs = np.arange(5, dtype=float)
     assert polylines(xs, -xs, [2, 0, 3]) == ["0.00,-0.00 1.00,-1.00", "",
                                              "2.00,-2.00 3.00,-3.00 4.00,-4.00"]

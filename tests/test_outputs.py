@@ -1,14 +1,14 @@
 """The CSV and SVG number formats, pinned against per-value formatters.
 
-`cli._csv`, `Trajectory.to_csv` and `svgchart.line_chart` render whole
-tables and polylines through `numtext`, which prints the same formats with
-float64 arithmetic and leaves to printf, one cell at a time, each value whose
-rounding it cannot prove.  The reference formatters here do it one value at
-a time, the way the files were first written: CSV
-numbers as `f"{v:.17g}"` (other cells as `str(v)`), SVG coordinates as
-`f"{px:.2f},{py:.2f}"` from scalar pixel arithmetic.  The outputs must be
-equal as strings, so a file written by one version reads the same in the
-next.
+`cli._csv` (the CSV bytes that `Writer.write` streams to a file) and
+`svgchart.line_chart` render whole tables and polylines through `numtext`,
+which prints the same formats with float64 arithmetic and leaves to printf,
+one cell at a time, each value whose rounding it cannot prove.  The
+reference formatters here do it one value at a time, the way the files were
+first written: CSV numbers as `f"{v:.17g}"` (other cells as `str(v)`), SVG
+coordinates as `f"{px:.2f},{py:.2f}"` from scalar pixel arithmetic.  The
+outputs must be equal as strings, so a file written by one version reads the
+same in the next.
 """
 import math
 import re
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag.cli import _csv
+from vnag.cli import _csv, _trajectory_csv
 from vnag.dynamics import Trajectory
 from vnag.numtext import g17_cells
 from vnag.svgchart import _ticks, line_chart
@@ -26,6 +26,14 @@ from vnag.svgchart import _ticks, line_chart
 _EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
              2.2250738585072014e-308, 1.7976931348623157e308,
              -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e22, 123456789.0]
+
+
+def _text(chunks):
+    return b"".join(chunks).decode()
+
+
+def _csv_text(header, *blocks):
+    return _text(_csv(header, *blocks))
 
 
 def _ref_csv(rows, header):
@@ -81,7 +89,7 @@ def test_csv_extreme_values():
     rows = [(i, "curve", v, w) for i, (v, w) in enumerate(zip(vals, vals[::-1]))]
     header = ["index", "curve", "a", "b"]
     cols = [list(range(len(vals))), "curve", vals, vals[::-1].copy()]
-    assert _csv(header, cols) == _ref_csv(rows, header)
+    assert _csv_text(header, cols) == _ref_csv(rows, header)
 
 
 def test_csv_cell_types():
@@ -96,14 +104,14 @@ def test_csv_cell_types():
     header = ["c", "n", "label", "v", "k", "k_arr", "flag"]
     cols = [const, 7, "50%", vals, [int(k) for k in ints], ints,
             ["ok" if k > 0 else "no" for k in ints]]
-    assert _csv(header, cols) == _ref_csv(rows, header)
+    assert _csv_text(header, cols) == _ref_csv(rows, header)
 
 
 def test_csv_empty_table():
     header = ["t1", "t2", "verdict", "binding_eigenvalue"]
-    assert _csv(header) == _ref_csv([], header) == "t1,t2,verdict,binding_eigenvalue\n"
+    assert _csv_text(header) == _ref_csv([], header) == "t1,t2,verdict,binding_eigenvalue\n"
     empty = np.array([], dtype=float)
-    assert _csv(header, [empty, empty, [], empty]) == _ref_csv([], header)
+    assert _csv_text(header, [empty, empty, [], empty]) == _ref_csv([], header)
 
 
 def test_csv_blocks_with_shared_column():
@@ -119,7 +127,7 @@ def test_csv_blocks_with_shared_column():
             blocks.append([beta, s, t_cells, s * (beta * y)])
             rows += [(beta, s, float(tk), float(s * (beta * yk))) for tk, yk in zip(t, y)]
     header = ["beta", "slope", "t", "h"]
-    assert _csv(header, *blocks) == _ref_csv(rows, header)
+    assert _csv_text(header, *blocks) == _ref_csv(rows, header)
     assert g17_cells(np.array([])).tolist() == []
 
 
@@ -135,7 +143,7 @@ def test_csv_any_float(cells):
     b = np.array([c[1] for c in cells], dtype=float)
     k = [c[2] for c in cells]
     header = ["a", "b", "k"]
-    assert _csv(header, [a, b, k]) == _ref_csv(cells, header)
+    assert _csv_text(header, [a, b, k]) == _ref_csv(cells, header)
 
 
 def test_trajectory_csv():
@@ -143,9 +151,9 @@ def test_trajectory_csv():
     x = np.array([_EXTREMES, _EXTREMES[::-1]]).T
     v = np.array([_EXTREMES[3:] + _EXTREMES[:3], [-e for e in _EXTREMES]]).T
     traj = Trajectory(np.linspace(0.1, 1.3, n), x, v)
-    assert traj.to_csv() == _ref_to_csv(traj)
+    assert _text(_trajectory_csv(traj)) == _ref_to_csv(traj)
     one = Trajectory(np.array([0.0, 1e-300]), np.array([-0.0, 5e-324]), np.array([1.0, 2.0]))
-    assert one.to_csv() == _ref_to_csv(one)
+    assert _text(_trajectory_csv(one)) == _ref_to_csv(one)
 
 
 def _series_cases():
