@@ -3,16 +3,17 @@
 Subcommands: simulate, second-variation, classify, reproduce.  Configs are
 single JSON documents; the table `_CONFIG` lists every field, and unknown
 ones are rejected.  Outputs are CSV/JSON (authoritative) plus small SVG
-charts, all byte-deterministic for a fixed config and seed.  Exit codes: 0
-ok, 2 config error (any `ValueError`: the library raises it only to reject
-its arguments), 3 numerical failure (`NumericalError`, or a float overflow).
+charts, all byte-deterministic for a fixed config and seed; `numtext` prints
+their numbers, and they stream to their files as bytes.  Exit codes: 0 ok, 2
+config error (any `ValueError`: the library raises it only to reject its
+arguments; or an output path that cannot be written), 3 numerical failure
+(`NumericalError`, or a float overflow).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -226,14 +227,22 @@ class Writer:
 
     def write(self, name: str, chunks) -> str:
         """Write an iterable of bytes to the file `name`; the path is recorded
-        first, so cleanup also removes a file whose chunks failed part way."""
-        if not self.paths:
-            self.dir.mkdir(parents=True, exist_ok=True)
+        first, so cleanup also removes a file whose chunks failed part way.  A
+        directory or file that cannot be made or written is a config error."""
         p = self.dir / name
-        self.paths.append(p)
-        with p.open("wb") as f:
-            f.writelines(chunks)
+        try:
+            if not self.paths:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            self.paths.append(p)
+            with p.open("wb") as f:
+                f.writelines(chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {p}: {exc}") from exc
         return str(p)
+
+    def csv(self, name: str, header: list, columns: list) -> str:
+        from . import numtext  # loaded with the first table, not with vnag
+        return self.write(name, numtext.csv(header, columns))
 
     def json(self, name: str, obj) -> str:
         # allow_nan=False: a NaN/inf reaching a report is a numerical failure
@@ -251,61 +260,10 @@ class Writer:
                 pass
 
 
-def _csv(header: list, *blocks: list):
-    """CSV as an iterator of bytes chunks for `Writer.write`: the header
-    line, then the rows of each block in turn, printed as they are read.
-
-    A block is a list of columns, one per header field.  A float array
-    column prints each cell with printf `%.17g` (17 significant digits, so
-    every double round-trips; nan, inf, -0 as `nan`, `inf`, `-0`).  A bytes
-    array from `numtext.g17_cells` (a column shared by several blocks,
-    printed once) prints as it is.  A list, or an integer array, prints each
-    cell as `str(cell)`, so float columns must come as float arrays.  A
-    scalar fills the whole column and is printed once (a float with
-    `%.17g`); a block needs at least one sequence column.  The rows of all
-    blocks go to `numtext.csv_chunks` in one call, which prints what `%`
-    prints and leaves to `%` each cell whose rounding it cannot prove; the
-    formats are pinned by tests/test_outputs.py.
-    """
-    from . import numtext  # loaded with the first text output, not with vnag
-    sizes = []
-    for cols in blocks:
-        lengths = {len(c) for c in cols if isinstance(c, (np.ndarray, list, tuple))}
-        if len(lengths) != 1:
-            raise ValueError("CSV columns differ in length")
-        if len(cols) != len(header):
-            raise ValueError("CSV block and header differ in width")
-        sizes.append(lengths.pop())
-    rows = (numtext.csv_chunks([_csv_column([cols[j] for cols in blocks], sizes)
-                                for j in range(len(header))]) if sum(sizes) else ())
-    return itertools.chain([(",".join(header) + "\n").encode()], rows)
-
-
-def _trajectory_csv(traj: Trajectory):
-    """CSV of a sampled flow: t,x_0..x_{d-1},v_0..v_{d-1}."""
+def _trajectory_csv(writer: Writer, name: str, traj: Trajectory) -> str:
+    """Write a sampled flow as CSV: t,x_0..x_{d-1},v_0..v_{d-1}."""
     names = [f"{q}_{i}" for q in "xv" for i in range(traj.dim)]
-    return _csv(["t", *names], [traj.t, *traj.x.T, *traj.v.T])
-
-
-def _csv_column(parts: list, sizes: list) -> np.ndarray:
-    """One column over all blocks: float64 if every block gives a float
-    array, else bytes, one cell per row."""
-    from . import numtext
-    if all(isinstance(p, np.ndarray) and p.dtype.kind == "f" for p in parts):
-        return np.concatenate(parts, dtype=float)
-    cells = []
-    for part, n in zip(parts, sizes):
-        if isinstance(part, np.ndarray) and part.dtype.kind == "S":
-            cells.append(part)
-        elif isinstance(part, np.ndarray) and part.dtype.kind == "f":
-            cells.append(numtext.g17_cells(part))
-        elif isinstance(part, (np.ndarray, list, tuple)):
-            items = part.tolist() if isinstance(part, np.ndarray) else part
-            cells.append(np.array([str(c).encode() for c in items], dtype=bytes))
-        else:
-            text = "%.17g" % part if isinstance(part, float) else str(part)
-            cells.append(np.full(n, text.encode()))
-    return np.concatenate(cells)
+    return writer.csv(name, ["t", *names], [traj.t, *traj.x.T, *traj.v.T])
 
 
 # --------------------------------------------------------------------------
@@ -331,10 +289,9 @@ def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
                 lam, damping.alpha, x0[i] - pot.xstar[i], v0[i], traj.t, t0=t1)
             err = max(err, float(np.max(np.abs(traj.x[:, i] - ref))))
         results["closed_form_max_error"] = err
-    writer.write("trajectory.csv", _trajectory_csv(traj))
+    _trajectory_csv(writer, "trajectory.csv", traj)
     series = [(f"x_{i}", traj.t, traj.x[:, i]) for i in range(traj.dim)]
-    writer.write("figure.svg", [line_chart(series, title="flow trajectory",
-                                           xlabel="t", ylabel="x").encode()])
+    writer.write("figure.svg", line_chart(series, title="flow trajectory", xlabel="t", ylabel="x"))
     return {"results": results,
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"],
                        "interval": {"t1": t1, "t2": t2},
@@ -386,15 +343,14 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
         raise NumericalError("d2J quadrature is not finite")
     # dtype=float turns a missing closed form (None) into nan
     closed = np.array([e["d2j_closed_form"] for e in table], dtype=float)
-    writer.write("d2j.csv", _csv(["index", "d2j_quadrature", "d2j_closed_form"],
-                                 [idx, quad, closed]))
+    writer.csv("d2j.csv", ["index", "d2j_quadrature", "d2j_closed_form"],
+               [np.array(idx, dtype="S"), quad, closed])
     if len(table) > 1:
         series = [("quadrature", idx, quad)]
         if all(e["d2j_closed_form"] is not None for e in table):
             series.append(("closed form", idx, closed))
-        writer.write("figure.svg", [line_chart(
-            series, title="second variation by probe", xlabel="probe index",
-            ylabel="d2J").encode()])
+        writer.write("figure.svg", line_chart(series, title="second variation by probe",
+                                              xlabel="probe index", ylabel="d2J"))
     return {"results": {"table": table, "sign_changes": sign_changes},
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"],
                        "interval": {"t1": t1, "t2": t2}, "n_steps": n_steps},
@@ -420,13 +376,12 @@ def cmd_classify(cfg: dict, writer: Writer, seed: int) -> dict:
                     rec["indefiniteness_witness"] = saddle_witness(
                         beta, start, start + length)
                 records.append(rec)
-    cols = [np.array([r["t1"] for r in records], dtype=float),
-            np.array([r["t2"] for r in records], dtype=float),
-            [r["classification"]["verdict"] for r in records],
-            # None (no binding eigenvalue) becomes nan
-            np.array([r["classification"]["binding_eigenvalue"] for r in records],
-                     dtype=float)]
-    writer.write("classify.csv", _csv(["t1", "t2", "verdict", "binding_eigenvalue"], cols))
+    cls = [r["classification"] for r in records]
+    # None (no binding eigenvalue) becomes nan
+    writer.csv("classify.csv", ["t1", "t2", "verdict", "binding_eigenvalue"],
+               [*(np.array([r[key] for r in records], dtype=float) for key in ("t1", "t2")),
+                np.array([c["verdict"] for c in cls], dtype="S"),
+                np.array([c["binding_eigenvalue"] for c in cls], dtype=float)])
     return {"results": {"records": records},
             "inputs": {"potential": cfg["potential"], "damping": cfg["damping"]},
             "notes": []}
@@ -461,9 +416,12 @@ def _reproduce_fig1(writer: Writer) -> dict:
                       "d2j_quadrature": d2, "d2j_closed_form": closed,
                       "delta_action": action(spec, disp) - action(spec, base)})
     series = [(lbl, traj.t, traj.x[:, 0]) for lbl, traj in curves.items()]
-    writer.write("fig1_curves.csv", _csv(["curve", "t", "x"], *series))
-    writer.write("fig1.svg", [line_chart(
-        series, title="flow and two perturbation directions", xlabel="t", ylabel="x").encode()])
+    _, ts, xs = zip(*series)
+    writer.csv("fig1_curves.csv", ["curve", "t", "x"],
+               [np.repeat(np.array(list(curves), dtype="S"), [len(t) for t in ts]),
+                np.concatenate(ts), np.concatenate(xs)])
+    writer.write("fig1.svg", line_chart(
+        series, title="flow and two perturbation directions", xlabel="t", ylabel="x"))
     return {"results": {"table": table, "epsilon_star": star},
             "inputs": {"potential": "quadratic beta=1", "damping": "vanishing c=3",
                        "interval": {"t1": t1, "t2": t2}},
@@ -476,12 +434,11 @@ def _reproduce_fig2(writer: Writer) -> dict:
     from .numtext import g17_cells
     betas = [0.5, 1.0, 2.0, 4.0, 8.0]
     slopes = [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]
+    beta_cells, slope_cells = g17_cells(betas), g17_cells(slopes)
     conj = {}
     for t1 in (1.0, 4.0):
-        blocks = []
-        series = []
-        markers = []
-        for beta in betas:
+        blocks, series, markers = [], [], []
+        for beta, beta_cell in zip(betas, beta_cells):
             spec = LagrangianSpec(Vanishing(3.0), QuadraticDiagonal([beta]))
             tau = first_conjugate_time(spec, beta, t1)
             conj[f"t1={t1:g},beta={beta:g}"] = tau
@@ -490,13 +447,15 @@ def _reproduce_fig2(writer: Writer) -> dict:
             # the Jacobi equation is linear: one unit-slope solution scales
             # to every initial velocity in the fan
             t_cells, y8 = g17_cells(ts[::8]), ys[::8]
-            blocks += [[beta, s, t_cells, s * y8] for s in slopes]
+            blocks += [(np.full(len(y8), beta_cell), np.full(len(y8), s_cell), t_cells, s * y8)
+                       for s, s_cell in zip(slopes, slope_cells)]
             series.append((f"beta={beta:g}", ts, ys))
             markers.append((tau, 0.0, "#000"))
-        writer.write(f"fig2_t1_{t1:g}.csv", _csv(["beta", "slope", "t", "h"], *blocks))
-        writer.write(f"fig2_t1_{t1:g}.svg", [line_chart(
+        writer.csv(f"fig2_t1_{t1:g}.csv", ["beta", "slope", "t", "h"],
+                   [np.concatenate(col) for col in zip(*blocks)])
+        writer.write(f"fig2_t1_{t1:g}.svg", line_chart(
             series, title=f"Jacobi solutions from t1={t1:g} (unit slope)",
-            xlabel="t", ylabel="h", markers=markers).encode()])
+            xlabel="t", ylabel="h", markers=markers))
     return {"results": {"first_conjugate_times": conj},
             "inputs": {"betas": betas, "t1_values": [1.0, 4.0]},
             "notes": ["higher curvature pulls the first conjugate point earlier"]}
@@ -534,13 +493,13 @@ def _reproduce_fig3(writer: Writer) -> dict:
                             "verdict": cls.verdict})
         records.append({"alpha": alpha, "crossover_length": crossover,
                         "windows": actions})
-    blocks = [[rec["alpha"],
-               np.array([w["length"] for w in rec["windows"]], dtype=float),
-               np.array([w["action"] for w in rec["windows"]], dtype=float),
-               [w["verdict"] for w in rec["windows"]]] for rec in records]
-    writer.write("fig3_actions.csv", _csv(["alpha", "length", "action", "verdict"], *blocks))
-    writer.write("fig3.svg", [line_chart(series, title="objective along constant-damping flows",
-                                         xlabel="t", ylabel="f(x)").encode()])
+    windows = [w for rec in records for w in rec["windows"]]
+    writer.csv("fig3_actions.csv", ["alpha", "length", "action", "verdict"],
+               [np.repeat(alphas, len(lengths)),
+                *(np.array([w[key] for w in windows], dtype=float) for key in ("length", "action")),
+                np.array([w["verdict"] for w in windows], dtype="S")])
+    writer.write("fig3.svg", line_chart(series, title="objective along constant-damping flows",
+                                        xlabel="t", ylabel="f(x)"))
     return {"results": {"records": records},
             "inputs": {"objective": "0.02 x^2 + 0.0004 y^2",
                        "hessian_eigenvalues": [0.04, 0.0008],
@@ -572,8 +531,8 @@ def _reproduce_unbounded(writer: Writer) -> dict:
         results["actions"].append({"sigma": sigma, "action_small_eps": j_small,
                                    "action_large_eps": j_large})
     header = ["sigma", "action_small_eps", "action_large_eps"]
-    writer.write("unbounded.csv", _csv(header, [
-        np.array([a[key] for a in results["actions"]], dtype=float) for key in header]))
+    writer.csv("unbounded.csv", header,
+               [np.array([a[key] for a in results["actions"]], dtype=float) for key in header])
     return {"results": results,
             "inputs": {"potential": "quadratic beta=1", "damping": "vanishing c=3",
                        "interval": {"t1": t1, "t2": t2}},
@@ -604,10 +563,9 @@ def _reproduce_poly(writer: Writer) -> dict:
                         "searched_up_to": cap})
     # a window without a conjugate point (None) prints as nan
     header = ["window_start", "first_conjugate_time", "conjugate_free_length"]
-    writer.write("poly_windows.csv", _csv(header, [
-        np.array([r[key] for r in records], dtype=float) for key in header]))
-    sampled = Trajectory(base.t[::10], base.x[::10], base.v[::10])
-    writer.write("poly_base.csv", _trajectory_csv(sampled))
+    writer.csv("poly_windows.csv", header,
+               [np.array([r[key] for r in records], dtype=float) for key in header])
+    _trajectory_csv(writer, "poly_base.csv", Trajectory(base.t[::10], base.x[::10], base.v[::10]))
     return {"results": {"records": records,
                         "conjugate_free_from_start": threshold},
             "inputs": {"potential": "x^4", "damping": "vanishing c=3",

@@ -247,10 +247,11 @@ def _march(pot: Polynomial1D, damping, x: float, v: float, t1: float, h: float, 
     s come from one array call each over the step starts, midpoints (stages 2 and 3) and ends,
     a scalar repeated; f' is inlined in grad_rows' operation order."""
     ap, q, xstar, hh, h6 = pot.a * pot.p, pot.p - 1, pot.xstar, 0.5 * h, h / 6.0
-    path_x, path_v = [x], [v]
+    xs, vs = np.full(n_steps + 1, x), np.full(n_steps + 1, v)  # filled chunk by chunk
     try:
         for i0 in range(0, n_steps, _CHUNK):
             t = t1 + h * np.arange(i0, min(i0 + _CHUNK, n_steps))
+            path_x, path_v = [], []
             with np.errstate(over="ignore"):  # an infinite d or s surfaces in the state
                 sched = [itertools.repeat(float(r), len(t)) if np.ndim(r) == 0 else r.tolist()
                          for s in (t, t + hh, t + h)
@@ -267,9 +268,9 @@ def _march(pot: Polynomial1D, damping, x: float, v: float, t1: float, h: float, 
                 v = v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 path_x.append(x)
                 path_v.append(v)
+            xs[i0 + 1:i0 + 1 + len(t)], vs[i0 + 1:i0 + 1 + len(t)] = path_x, path_v
     except OverflowError as exc:  # float ** raises where numpy gives inf
         raise NumericalError("non-finite state encountered during integration") from exc
-    xs, vs = np.array(path_x), np.array(path_v)
     # divergence that stays below OverflowError surfaces as NaN/inf in the state
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         raise NumericalError("non-finite state encountered during integration")
@@ -314,20 +315,22 @@ def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
         with np.errstate(over="ignore", invalid="ignore"):
             r = 1.0 - z + z ** 2 / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
             xs = pot.xstar + (x0 - pot.xstar) * r ** np.arange(n_steps + 1)[:, None]
-    else:  # RK4 in Python floats, f' inlined as in _march
+    else:  # RK4 in Python floats, f' inlined and states stored per chunk as in _march
         x, ap, q, hh, h6 = float(x0[0]), pot.a * pot.p, pot.p - 1, 0.5 * h, h / 6.0
-        xs = [x]
+        xs = np.full(n_steps + 1, x)
         try:
-            for _ in range(n_steps):
-                a1 = -(ap * (x - pot.xstar) ** q)
-                a2 = -(ap * (x + hh * a1 - pot.xstar) ** q)
-                a3 = -(ap * (x + hh * a2 - pot.xstar) ** q)
-                a4 = -(ap * (x + h * a3 - pot.xstar) ** q)
-                x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                xs.append(x)
+            for i0 in range(0, n_steps, _CHUNK):
+                path = []
+                for _ in range(min(_CHUNK, n_steps - i0)):
+                    a1 = -(ap * (x - pot.xstar) ** q)
+                    a2 = -(ap * (x + hh * a1 - pot.xstar) ** q)
+                    a3 = -(ap * (x + hh * a2 - pot.xstar) ** q)
+                    a4 = -(ap * (x + h * a3 - pot.xstar) ** q)
+                    x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                    path.append(x)
+                xs[i0 + 1:i0 + 1 + len(path)] = path
         except OverflowError as exc:
             raise NumericalError("non-finite state encountered during integration") from exc
-        xs = np.array(xs)
     if not np.all(np.isfinite(xs)):
         raise NumericalError("non-finite state encountered during integration")
     return Trajectory(np.linspace(t1, t2, n_steps + 1), xs, -pot.grad_rows(xs))

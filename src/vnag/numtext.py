@@ -1,5 +1,7 @@
-"""Float columns as printf text: `%.17g` for CSV cells, `%.2f` for SVG
-coordinates, byte for byte what Python's `%` prints.
+"""Numbers as output bytes: the one place where vnag prints a number into a
+CSV table (`csv`, printf `%.17g` per cell) or an SVG polyline (`polyline`,
+`%.2f` per coordinate), byte for byte what Python's `%` prints.  Both yield
+bytes chunks that `cli.Writer.write` streams to the file as they come.
 
 Python prints each double through correctly rounded dtoa, one value at a
 time.  Here a whole column is scaled by a double-double power of ten with
@@ -15,6 +17,8 @@ of one for `%.17g`, 1e-14 for `%.2f`, in units of the last digit), and a
 `%.2f` value that prints as 1000.00 or more.  Text cells must not contain NUL.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -216,16 +220,15 @@ def _f2(values: np.ndarray) -> np.ndarray:
 
 
 def _rows(columns: list, cells, sep: bytes, end):
-    """Rows of equal-length columns joined by `sep`, each ended by `end` (one
-    byte, or one per row), yielded as bytes chunks of about _CHUNK cells.  A
-    float64 column is printed by `cells`; a bytes column (numpy 'S') is
-    copied as it is."""
+    """Rows of equal-length columns joined by `sep`, each ended by `end` (a
+    byte value, or one per row; 0 is dropped), yielded as bytes chunks of
+    about _CHUNK cells.  A float64 column is printed by `cells`; a bytes
+    column (numpy 'S') is copied as it is."""
     n, ncol = len(columns[0]), len(columns)
     floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
     texts = [j for j in range(ncol) if j not in floats]
     seps = np.full(ncol, ord(sep), np.uint8)
-    end = np.broadcast_to(np.frombuffer(end, np.uint8) if isinstance(end, bytes) else end,
-                          (n,))
+    end = np.broadcast_to(end, (n,))
     step = max(1, _CHUNK // ncol)
     for i0 in range(0, n, step):
         r = min(n, i0 + step) - i0
@@ -248,32 +251,30 @@ def _rows(columns: list, cells, sep: bytes, end):
         yield block.tobytes().translate(None, b"\0")
 
 
-def csv_chunks(columns: list):
-    """CSV rows of equal-length columns, each row ended by a newline, as
-    bytes chunks: a float64 column prints every cell with printf `%.17g`
-    (17 significant digits, so every double round-trips; nan, inf, -0 as
-    `nan`, `inf`, `-0`), a bytes column (numpy 'S', from `g17_cells` or
-    encoded text) prints its cells as they are."""
-    return _rows(columns, _g17, b",", b"\n")
+def csv(header: list, columns: list):
+    """A CSV table as bytes chunks: the header line, then a row per index of
+    the columns.  A float64 column prints with printf `%.17g` (every double
+    round-trips; `nan`, `inf`, `-0`), a bytes column (numpy 'S', from
+    `g17_cells` or encoded text) as it is; any other raises ValueError."""
+    if (not all(isinstance(c, np.ndarray) and c.ndim == 1
+                and (c.dtype == np.float64 or c.dtype.kind == "S") for c in columns)
+            or len(columns) != len(header) or len({len(c) for c in columns}) != 1):
+        raise ValueError("CSV columns must be float64 or bytes arrays of one length, one per field")
+    return itertools.chain([(",".join(header) + "\n").encode()],
+                           _rows(columns, _g17, b",", ord("\n")))
 
 
 def g17_cells(values: np.ndarray) -> np.ndarray:
-    """The `%.17g` text of each value as a bytes array (numpy 'S24'): a CSV
-    column shared by several blocks is printed once."""
+    """The `%.17g` text of each value as a bytes array (numpy 'S24'): a value
+    repeated down a CSV column is printed once."""
     values = np.asarray(values, dtype=float)
-    return np.array(b"".join(csv_chunks([values])).split(b"\n")[:-1], dtype="S24")
+    return np.array(b"".join(_rows([values], _g17, b",", ord("\n"))).split(b"\n")[:-1],
+                    dtype="S24")
 
 
-def polylines(xs: np.ndarray, ys: np.ndarray, counts: list) -> list:
-    """SVG `points` strings: `%.2f,%.2f` per point, points joined by a
-    space; xs and ys hold every polyline's points in turn, counts[i] of them
-    for polyline i."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if not counts.sum():
-        return [""] * len(counts)
-    end = np.full(int(counts.sum()), ord(" "), np.uint8)
-    end[np.cumsum(counts)[counts > 0] - 1] = ord("\n")
-    text = b"".join(_rows([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)],
-                          _f2, b",", end)).decode()
-    parts = iter(text.split("\n"))
-    return [next(parts) if k else "" for k in counts]
+def polyline(xs: np.ndarray, ys: np.ndarray):
+    """An SVG `points` value as bytes chunks: `%.2f,%.2f` per point of the
+    float64 arrays xs and ys, points joined by a space."""
+    end = np.full(len(xs), ord(" "), np.uint8)
+    end[-1:] = 0  # the last point's end byte is dropped with the unused ones
+    return _rows([xs, ys], _f2, b",", end)

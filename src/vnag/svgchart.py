@@ -2,9 +2,8 @@
 
 CSV files are the authoritative experiment output; these charts are a
 convenience for eyeballing them.  Output is deterministic (coordinates
-printed with printf `%.2f`, polylines by `numtext.polylines`, which prints
-what `%` prints and leaves to `%` each value whose rounding it cannot
-prove; no timestamps).
+printed with printf `%.2f`; no timestamps) and streams as bytes chunks, each
+polyline from `numtext.polyline`.
 """
 from __future__ import annotations
 
@@ -44,31 +43,30 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
 
 
 def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = "",
-               width: int = 720, height: int = 440, markers: list | None = None) -> str:
-    """Render polyline series as an SVG string.
+               width: int = 720, height: int = 440, markers: list | None = None):
+    """Render polyline series as an SVG, yielded as bytes chunks for
+    `cli.Writer.write`.
 
     series: list of (label, xs, ys) triples; xs and ys are arrays or
         sequences of numbers, taken as float64.
     markers: optional list of (x, y, color) scatter points.
 
-    Every polyline of the chart is printed by one `numtext.polylines` call,
-    `%.2f` per coordinate; the pixel arithmetic runs on float64 arrays in
-    the order of the scalar `px`/`py`, so every coordinate is the double the
-    scalar form gives.
+    Each polyline streams from `numtext.polyline`, `%.2f` per coordinate;
+    the pixel arithmetic runs on float64 arrays in the order of the scalar
+    `px`/`py`, so every coordinate is the double the scalar form gives.
     """
-    from .numtext import polylines  # loaded with the first text output, not with vnag
+    from .numtext import polyline  # loaded with the first chart, not with vnag
     pad_l, pad_r, pad_t, pad_b = 62, 16, 34, 46
     series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for label, xs, ys in series]
     if any(len(xs) != len(ys) for _, xs, ys in series):
         raise ValueError("a series has x and y of different lengths")
     marks = markers or []
-    xs_line = np.concatenate([xs for _, xs, _ in series])
-    ys_line = np.concatenate([ys for _, _, ys in series])
-    xs_all = np.concatenate([xs_line, [m[0] for m in marks]])
-    ys_all = np.concatenate([ys_line, [m[1] for m in marks]])
+    xs_all = np.concatenate([xs for _, xs, _ in series] + [[m[0] for m in marks]])
+    ys_all = np.concatenate([ys for _, _, ys in series] + [[m[1] for m in marks]])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    del xs_all, ys_all  # a generator keeps its locals until the chart is written
     x_hi, y_hi = _upper(x_lo, x_hi), _upper(y_lo, y_hi)
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
@@ -112,11 +110,11 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
         parts.append(f'<text x="14" y="{pad_t + plot_h / 2:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 14 {pad_t + plot_h / 2:.1f})">{ylabel}</text>')
-    points = polylines(px(xs_line), py(ys_line), [len(xs) for _, xs, _ in series])
-    for idx, ((label, _, _), pts) in enumerate(zip(series, points)):
+    for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     'stroke-width="1.4"/>')
+        yield "".join(f"{p}\n" for p in parts).encode() + b'<polyline points="'
+        yield from polyline(px(xs), py(ys))
+        parts = [f'" fill="none" stroke="{color}" stroke-width="1.4"/>']
         if label:
             ly = pad_t + 14 + 14 * idx
             parts.append(f'<line x1="{pad_l + plot_w - 120}" y1="{ly - 4}" '
@@ -128,4 +126,4 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
         parts.append(f'<circle cx="{px(m[0]):.2f}" cy="{py(m[1]):.2f}" r="3.5" '
                      f'fill="{m[2] if len(m) > 2 else "#000"}"/>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "".join(f"{p}\n" for p in parts).encode()

@@ -2,9 +2,11 @@
 
 The runs are the five `vnag reproduce` figures and one run of each config
 in this directory.  `outputs.sha256` records their digests, with the Python
-and numpy versions that produced them in its header; tests/test_golden.py
-runs them again and compares.  A change that alters output bytes on
-purpose rewrites the manifest with
+and numpy versions that produced them in its header.  `corpus.sha256`
+records, for each run of `corpus.jsonl` (see corpus.py), its exit code
+(`<code>  <run>/exit`) and the digest of every file it leaves.
+tests/test_golden.py runs both again and compares.  A change that alters
+output bytes or exit codes on purpose rewrites both manifests with
 
     PYTHONPATH=src python tests/golden/bless.py
 
@@ -12,10 +14,14 @@ and names each changed file in its change notes.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import platform
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +30,11 @@ from vnag.cli import main
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "outputs.sha256"
+CORPUS, CORPUS_MANIFEST = HERE / "corpus.jsonl", HERE / "corpus.sha256"
 FIGURES = ("fig1", "fig2", "fig3", "unbounded", "poly")
 CONFIGS = (("second-variation", "second_variation.json"), ("classify", "classify.json"),
-           ("simulate", "simulate.json"))
+           ("simulate", "simulate.json"), ("classify", "classify_c25.json"),
+           ("second-variation", "second_variation_constant.json"))
 
 
 def versions() -> dict:
@@ -41,8 +49,32 @@ def produce(out_root: Path) -> dict:
     for label, argv in runs:
         if main([*argv, "--out", str(out_root / label)]) != 0:
             raise RuntimeError(f"golden run {label} failed")
-    return {p.relative_to(out_root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out_root.rglob("*")) if p.is_file()}
+    return _digests(out_root)
+
+
+def produce_corpus(out_root: Path) -> dict:
+    """Run every corpus line below out_root; {"<run>/exit": exit code,
+    "<run>/<file>": sha256}, runs numbered from 0000."""
+    codes = {}
+    for i, line in enumerate(CORPUS.read_text().splitlines()):
+        run = json.loads(line)
+        cfg = out_root / "configs" / f"{i:04d}.json"
+        cfg.parent.mkdir(exist_ok=True)
+        cfg.write_text(json.dumps(run["config"]))
+        seed = [] if run["seed"] is None else ["--seed", str(run["seed"])]
+        # a warning does not raise, as in a `vnag` process (and unlike under
+        # the test suite's filter); messages are not pinned
+        with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([run["command"], "--config", str(cfg),
+                         "--out", str(out_root / "out" / f"{i:04d}"), *seed])
+        codes[f"{i:04d}/exit"] = str(code)
+    return {**codes, **_digests(out_root / "out")}
+
+
+def _digests(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def read_manifest(path: Path = MANIFEST) -> tuple[dict, dict]:
@@ -65,7 +97,8 @@ def write_manifest(digests: dict, path: Path = MANIFEST):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        found = produce(Path(tmp))
-    write_manifest(found)
-    print(f"wrote {len(found)} digests to {MANIFEST}", file=sys.stderr)
+    for make, path in ((produce, MANIFEST), (produce_corpus, CORPUS_MANIFEST)):
+        with tempfile.TemporaryDirectory() as tmp:
+            found = make(Path(tmp))
+        write_manifest(found, path)
+        print(f"wrote {len(found)} digests to {path}", file=sys.stderr)

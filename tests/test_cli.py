@@ -1,13 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vnag import cli
 from vnag.cli import _CONFIG, _config, _expand_perturbation, load_config, main
+from vnag.errors import NumericalError
+from vnag.svgchart import line_chart
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -396,6 +403,50 @@ def test_overflow_exit_code(tmp_path, command, cfg):
     assert main([command, "--config", _write_cfg(tmp_path / "cfg.json", cfg),
                  "--out", str(out)]) == 3
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below_file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, out):
+    # mkdir raises FileExistsError on a file and NotADirectoryError below one
+    (tmp_path / "taken").write_text("x")
+    cfg = _write_cfg(tmp_path / "cfg.json", _CLASSIFY)
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert str(tmp_path / out) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "x"
+
+
+def _broken_chart(writer):
+    writer.csv("table.csv", ["x"], [np.arange(3.0)])
+    writer.write("chart.svg", line_chart([("a", [0.0, 1.0, 2.0], [0.0, 1.0])]))
+
+
+def _broken_stream(writer):
+    def chunks():
+        yield b"<svg>"
+        raise NumericalError("stream failed part way")
+    writer.write("chart.svg", chunks())
+
+
+@pytest.mark.parametrize("builder, code", [(_broken_chart, 2), (_broken_stream, 3)],
+                         ids=["chart_value_error", "numerical_error"])
+def test_stream_failing_part_way_leaves_no_file(tmp_path, monkeypatch, builder, code):
+    # a chart streams into Writer.write, so its errors surface with the file
+    # already open; the run keeps its exit code and removes every file
+    monkeypatch.setitem(cli._FIGURES, "fig1", builder)
+    out = tmp_path / "out"
+    assert main(["reproduce", "--figure", "fig1", "--out", str(out)]) == code
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_import_leaves_numtext_unloaded():
+    # every process compiles what `import vnag.cli` loads; numtext loads
+    # with the first table or chart
+    code = "import sys, vnag.cli; print('vnag.numtext' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_determinism_with_fourier(tmp_path):

@@ -10,7 +10,7 @@ from vnag import (BregmanParams, Constant, NumericalError, Polynomial1D,
                   integrate_flow, integrate_gradient_flow,
                   nesterov_recovering_params)
 from vnag import dynamics
-from vnag.cli import _trajectory_csv
+from vnag.cli import Writer, _trajectory_csv
 
 
 def test_critical_damping_closed_form():
@@ -180,10 +180,10 @@ def test_preconditions():
             Vanishing(c)
 
 
-def test_csv_roundtrip():
+def test_csv_roundtrip(tmp_path):
     pot = QuadraticDiagonal([1.0, 2.0])
     traj = integrate_flow(pot, Constant(1.0), [1.0, -1.0], [0.0, 0.5], 0.0, 1.0, 10)
-    text = b"".join(_trajectory_csv(traj)).decode()
+    text = open(_trajectory_csv(Writer(str(tmp_path)), "traj.csv", traj)).read()
     lines = text.strip().split("\n")
     assert lines[0] == "t,x_0,x_1,v_0,v_1"
     assert len(lines) == 12

@@ -1,18 +1,26 @@
 """`numtext` prints what Python's `%` prints, byte for byte: `%.17g` through
-`csv_chunks` and `g17_cells`, `%.2f` through `polylines`, on the fast path and
-on the per-cell `%` fallback alike."""
+`csv` and `g17_cells`, `%.2f` through `polyline`, on the fast path and on the
+per-cell `%` fallback alike."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnag import numtext
-from vnag.numtext import _CHUNK, _K0, _K1, csv_chunks, g17_cells, polylines
+from vnag.numtext import _CHUNK, _K0, _K1, csv, g17_cells, polyline
 
 
 def _csv_text(columns):
-    return b"".join(csv_chunks(columns)).decode()
+    """The rows of `csv` over columns, without its header line."""
+    head, _, rows = b"".join(csv(["c"] * len(columns), columns)).decode().partition("\n")
+    assert head == ",".join(["c"] * len(columns))
+    return rows
+
+
+def _points(xs, ys):
+    return b"".join(polyline(xs, ys)).decode()
 
 
 def _assert_g17(values):
@@ -26,7 +34,7 @@ def _assert_f2(values):
     xs = np.asarray(values, dtype=float)
     ys = xs[::-1].copy()
     want = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
-    assert polylines(xs, ys, [len(xs)]) == [want]
+    assert _points(xs, ys) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -84,10 +92,21 @@ def test_bytes_columns_and_polyline_cuts():
     text = np.array([b"ok", b"", b"50%"])
     assert _csv_text([text, vals, g17_cells(vals)]) == "ok,0.5,0.5\n,-2,-2\n50%,nan,nan\n"
     assert _csv_text([np.array([], dtype=float)]) == ""
+    # one polyline per series, as line_chart cuts them, an empty one included
     xs = np.arange(5, dtype=float)
-    assert polylines(xs, -xs, [2, 0, 3]) == ["0.00,-0.00 1.00,-1.00", "",
-                                             "2.00,-2.00 3.00,-3.00 4.00,-4.00"]
-    assert polylines(xs[:0], xs[:0], [0, 0]) == ["", ""]
+    assert [_points(xs[a:b], -xs[a:b]) for a, b in ((0, 2), (2, 2), (2, 5))] == [
+        "0.00,-0.00 1.00,-1.00", "", "2.00,-2.00 3.00,-3.00 4.00,-4.00"]
+    assert list(polyline(xs[:0], xs[:0])) == []
+
+
+@pytest.mark.parametrize("column", [
+    np.arange(3),  # int64: its bytes are not text
+    np.arange(3, dtype=np.float32), np.array(["a", "b", "c"]), [0.5, 1.0, 2.0],
+    np.zeros((3, 1)), np.array([b"a", 1.0, None], dtype=object)],
+    ids=["int64", "float32", "unicode", "list", "2d", "object"])
+def test_csv_rejects_non_float_non_bytes_columns(column):
+    with pytest.raises(ValueError):
+        csv(["a", "b"], [np.zeros(3), column])
 
 
 def test_power_table_is_exact():

@@ -1,6 +1,6 @@
 """The CSV and SVG number formats, pinned against per-value formatters.
 
-`cli._csv` (the CSV bytes that `Writer.write` streams to a file) and
+`numtext.csv` (the CSV bytes that `Writer.csv` streams to a file) and
 `svgchart.line_chart` render whole tables and polylines through `numtext`,
 which prints the same formats with float64 arithmetic and leaves to printf,
 one cell at a time, each value whose rounding it cannot prove.  The
@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag.cli import _csv, _trajectory_csv
+from vnag.cli import Writer, _trajectory_csv
 from vnag.dynamics import Trajectory
-from vnag.numtext import g17_cells
+from vnag.numtext import csv, g17_cells
 from vnag.svgchart import _ticks, line_chart
 
 _EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -32,8 +32,13 @@ def _text(chunks):
     return b"".join(chunks).decode()
 
 
-def _csv_text(header, *blocks):
-    return _text(_csv(header, *blocks))
+def _csv_text(header, columns):
+    return _text(csv(header, columns))
+
+
+def _cells(items):
+    """A text column: each item's `str`, as bytes."""
+    return np.array([str(c).encode() for c in items], dtype="S")
 
 
 def _ref_csv(rows, header):
@@ -88,52 +93,57 @@ def test_csv_extreme_values():
     vals = np.array(_EXTREMES)
     rows = [(i, "curve", v, w) for i, (v, w) in enumerate(zip(vals, vals[::-1]))]
     header = ["index", "curve", "a", "b"]
-    cols = [list(range(len(vals))), "curve", vals, vals[::-1].copy()]
+    cols = [_cells(range(len(vals))), np.full(len(vals), b"curve"), vals, vals[::-1].copy()]
     assert _csv_text(header, cols) == _ref_csv(rows, header)
 
 
 def test_csv_cell_types():
-    # np.float64 cells (what iterating an array yields), ints, strings,
-    # and constants of each type baked into the row template; a `%` in a
-    # constant must come out as itself
+    # float64 columns print with `%.17g`; bytes columns, from g17_cells, from
+    # encoded integers and text or repeated by np.full, print as they are (a
+    # `%` in a text cell comes out as itself)
     vals = np.array([0.5, -0.0, 5e-324, math.nan])
     ints = np.array([3, -7, 0, 2 ** 40])
     const = np.float64(1.0) / 3.0
-    rows = [(const, 7, "50%", v, int(k), k, "ok" if k > 0 else "no")
+    rows = [(float(const), str(int(k)), "50%", float(v), "ok" if k > 0 else "no")
             for v, k in zip(vals, ints)]
-    header = ["c", "n", "label", "v", "k", "k_arr", "flag"]
-    cols = [const, 7, "50%", vals, [int(k) for k in ints], ints,
-            ["ok" if k > 0 else "no" for k in ints]]
+    header = ["c", "k", "label", "v", "flag"]
+    cols = [np.full(4, g17_cells([const])[0]), np.array(ints, dtype="S"),
+            np.full(4, b"50%"), vals, _cells("ok" if k > 0 else "no" for k in ints)]
     assert _csv_text(header, cols) == _ref_csv(rows, header)
 
 
 def test_csv_empty_table():
     header = ["t1", "t2", "verdict", "binding_eigenvalue"]
-    assert _csv_text(header) == _ref_csv([], header) == "t1,t2,verdict,binding_eigenvalue\n"
     empty = np.array([], dtype=float)
-    assert _csv_text(header, [empty, empty, [], empty]) == _ref_csv([], header)
+    assert (_csv_text(header, [empty, empty, _cells([]), empty]) == _ref_csv([], header)
+            == "t1,t2,verdict,binding_eigenvalue\n")
 
 
 def test_csv_blocks_with_shared_column():
-    # fig2's layout: per block two constants, one pre-formatted bytes column
-    # and one array, rows of all blocks in turn
+    # fig2's layout: per block two constants, printed once by g17_cells and
+    # repeated by np.full, one pre-formatted bytes column and one array, the
+    # rows of all blocks in turn
     t = np.linspace(1.0, 2.0, 7)
     y = np.sin(3.0 * t) / t
     blocks, rows = [], []
-    for beta in (0.5, 2.0):
+    for beta, beta_cell in zip((0.5, 2.0), g17_cells([0.5, 2.0])):
         t_cells = g17_cells(t)
         assert [c.decode() for c in t_cells] == [f"{v:.17g}" for v in t]
-        for s in (-1.0, 0.2):
-            blocks.append([beta, s, t_cells, s * (beta * y)])
+        for s, s_cell in zip((-1.0, 0.2), g17_cells([-1.0, 0.2])):
+            blocks.append((np.full(len(t), beta_cell), np.full(len(t), s_cell), t_cells,
+                           s * (beta * y)))
             rows += [(beta, s, float(tk), float(s * (beta * yk))) for tk, yk in zip(t, y)]
     header = ["beta", "slope", "t", "h"]
-    assert _csv_text(header, *blocks) == _ref_csv(rows, header)
+    assert (_csv_text(header, [np.concatenate(col) for col in zip(*blocks)])
+            == _ref_csv(rows, header))
     assert g17_cells(np.array([])).tolist() == []
 
 
 def test_csv_column_lengths_must_agree():
     with pytest.raises(ValueError):
-        _csv(["a", "b"], [np.zeros(3), ["x", "y"]])
+        csv(["a", "b"], [np.zeros(3), np.array([b"x", b"y"])])
+    with pytest.raises(ValueError):  # one column per header field
+        csv(["a", "b"], [np.zeros(3)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -141,19 +151,20 @@ def test_csv_column_lengths_must_agree():
 def test_csv_any_float(cells):
     a = np.array([c[0] for c in cells], dtype=float)
     b = np.array([c[1] for c in cells], dtype=float)
-    k = [c[2] for c in cells]
+    k = _cells(c[2] for c in cells)
     header = ["a", "b", "k"]
     assert _csv_text(header, [a, b, k]) == _ref_csv(cells, header)
 
 
-def test_trajectory_csv():
+def test_trajectory_csv(tmp_path):
     n = len(_EXTREMES)
     x = np.array([_EXTREMES, _EXTREMES[::-1]]).T
     v = np.array([_EXTREMES[3:] + _EXTREMES[:3], [-e for e in _EXTREMES]]).T
     traj = Trajectory(np.linspace(0.1, 1.3, n), x, v)
-    assert _text(_trajectory_csv(traj)) == _ref_to_csv(traj)
     one = Trajectory(np.array([0.0, 1e-300]), np.array([-0.0, 5e-324]), np.array([1.0, 2.0]))
-    assert _text(_trajectory_csv(one)) == _ref_to_csv(one)
+    for name, tr in (("extremes.csv", traj), ("one.csv", one)):
+        path = _trajectory_csv(Writer(str(tmp_path)), name, tr)
+        assert open(path, newline="").read() == _ref_to_csv(tr)
 
 
 def _series_cases():
@@ -180,7 +191,7 @@ def _as_list(v):
                          [(s, m) for _, s, m in _series_cases()],
                          ids=[name for name, _, _ in _series_cases()])
 def test_line_chart_coordinates(series, markers):
-    svg = line_chart(series, title="t", xlabel="x", ylabel="y", markers=markers or None)
+    svg = _text(line_chart(series, title="t", xlabel="x", ylabel="y", markers=markers or None))
     # callers used to pass Python lists (`.tolist()` of their arrays)
     ref = _ref_chart_coords([(lbl, _as_list(xs), _as_list(ys)) for lbl, xs, ys in series],
                             markers)
