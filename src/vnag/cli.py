@@ -406,6 +406,7 @@ def _reproduce_fig1(writer: Writer) -> dict:
     star = epsilon_star(1.0 * c * c, 1.0)
     table = []
     curves = {"base": base}
+    base_action = action(spec, base)
     for label, eps in (("small_eps", eps_small), ("large_eps", eps_large)):
         h = triangle(c, eps, t1, t2)
         d2 = second_variation(spec, t1, t2, h)
@@ -414,7 +415,7 @@ def _reproduce_fig1(writer: Writer) -> dict:
         curves[label] = disp
         table.append({"direction": label, "perturbation": h.descriptor(),
                       "d2j_quadrature": d2, "d2j_closed_form": closed,
-                      "delta_action": action(spec, disp) - action(spec, base)})
+                      "delta_action": action(spec, disp) - base_action})
     series = [(lbl, traj.t, traj.x[:, 0]) for lbl, traj in curves.items()]
     _, ts, xs = zip(*series)
     writer.csv("fig1_curves.csv", ["curve", "t", "x"],
@@ -437,22 +438,25 @@ def _reproduce_fig2(writer: Writer) -> dict:
     beta_cells, slope_cells = g17_cells(betas), g17_cells(slopes)
     conj = {}
     for t1 in (1.0, 4.0):
-        blocks, series, markers = [], [], []
-        for beta, beta_cell in zip(betas, beta_cells):
+        series, markers = [], []
+        for beta in betas:
             spec = LagrangianSpec(Vanishing(3.0), QuadraticDiagonal([beta]))
             tau = first_conjugate_time(spec, beta, t1)
             conj[f"t1={t1:g},beta={beta:g}"] = tau
             t_end = tau + 0.15 * (tau - t1)
             ts, ys, _ = jacobi_solution(spec, beta, t1, t_end, 4000)
-            # the Jacobi equation is linear: one unit-slope solution scales
-            # to every initial velocity in the fan
-            t_cells, y8 = g17_cells(ts[::8]), ys[::8]
-            blocks += [(np.full(len(y8), beta_cell), np.full(len(y8), s_cell), t_cells, s * y8)
-                       for s, s_cell in zip(slopes, slope_cells)]
             series.append((f"beta={beta:g}", ts, ys))
             markers.append((tau, 0.0, "#000"))
-        writer.csv(f"fig2_t1_{t1:g}.csv", ["beta", "slope", "t", "h"],
-                   [np.concatenate(col) for col in zip(*blocks)])
+        # the Jacobi equation is linear: one unit-slope solution scales to
+        # every initial velocity in the fan
+        t8s = [ts[::8] for _, ts, _ in series]
+        counts = [len(t) for t in t8s]
+        t_cells = np.split(g17_cells(np.concatenate(t8s)), np.cumsum(counts[:-1]))
+        writer.csv(f"fig2_t1_{t1:g}.csv", ["beta", "slope", "t", "h"], [
+            np.repeat(beta_cells, [len(slopes) * m for m in counts]),
+            np.concatenate([np.repeat(slope_cells, m) for m in counts]),
+            np.concatenate([np.tile(tc, len(slopes)) for tc in t_cells]),
+            np.concatenate([np.outer(slopes, ys[::8]).ravel() for _, _, ys in series])])
         writer.write(f"fig2_t1_{t1:g}.svg", line_chart(
             series, title=f"Jacobi solutions from t1={t1:g} (unit slope)",
             xlabel="t", ylabel="h", markers=markers))

@@ -7,11 +7,13 @@ Python prints each double through correctly rounded dtoa, one value at a
 time.  Here a whole column is scaled by a double-double power of ten with
 Dekker's exact product, which gives the integer part and the fraction of the
 scaled value to about 1e-14; the rounded digits are then the integer part or
-one more.  Digits, point, sign and exponent are laid out in a fixed template
-row per cell, every character a cell might need in its place (a point after
-every digit), and a per-shape 0/1 row clears the ones it does not use; the
-cleared bytes are dropped when the chunk is joined.  A cell whose rounding
-the arithmetic cannot prove is printed by `%` instead: a non-finite value, a
+one more.  A `%.17g` cell lays out digits, point, sign and exponent in a
+fixed template row, every character it might need in its place (a point after
+every digit), and a per-shape 0/1 row clears the ones it does not use.  A
+`%.2f` cell is two table words: sign and integer part, point and cents.  Each
+column has a slot of its own width in the row, and the zero bytes a cell
+leaves are dropped when the chunk is joined.  A cell whose rounding the
+arithmetic cannot prove is printed by `%` instead: a non-finite value, a
 value outside the power table, a value next to a rounding tie (within 1e-9
 of one for `%.17g`, 1e-14 for `%.2f`, in units of the last digit), and a
 `%.2f` value that prints as 1000.00 or more.  Text cells must not contain NUL.
@@ -22,7 +24,10 @@ import itertools
 
 import numpy as np
 
-_CHUNK = 4096  # cells per chunk: bounds the working arrays, not the output
+# numbers printed per chunk: a table with f float columns yields max(1, _CHUNK // f)
+# rows a chunk (_CHUNK rows with none), each row at most 25 bytes per `%.17g` cell
+# and itemsize + 1 per bytes cell (_G_WIDTH and itemsize + 1 in the working arrays)
+_CHUNK = 4096
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 # a scaled fraction this close to 1/2 is left to `%`; each margin is far above
 # the error of its fraction: under 1e-14 for `%.17g` (the power table's error
@@ -65,14 +70,14 @@ _SIG4 = _SIG4.ravel()
 del _D8, _j
 
 # `%.17g` template, one row per cell:
-#   0 '-' | 1 '0' 2 '.' 3-5 '000' (as in 0.000ddd) | 6-45 five groups of four
-#   digits, each digit followed by '.', the first group padding the leading
-#   digit, so digit i sits at 12 + 2i and its point at 13 + 2i |
-#   46 'e' 47 sign 48-51 exponent, four digits | 52 separator
-_G_WIDTH = 53
+#   0 '-' | 1 '0' 2 '.' 3-5 '000' (as in 0.000ddd) | 6-39 the leading digit
+#   and four groups of four digits, each digit followed by '.', so digit i
+#   sits at 6 + 2i and its point at 7 + 2i |
+#   40 'e' 41 sign 42-45 exponent, four digits | 46 separator
+_G_WIDTH = 47
 _G_TEMPLATE = np.zeros(_G_WIDTH, np.uint8)
-_G_TEMPLATE[:6] = np.frombuffer(b"-0.000", np.uint8)
-_G_TEMPLATE[46] = ord("e")
+_G_TEMPLATE[:8] = np.frombuffer(b"-0.000\0.", np.uint8)
+_G_TEMPLATE[40] = ord("e")
 
 
 def _g17_keep() -> np.ndarray:
@@ -85,14 +90,14 @@ def _g17_keep() -> np.ndarray:
     nd = (s % 17 + 1)[:, None]
     sci, big = sci[:, None], (s >= 374)[:, None]
     pos = np.arange(_G_WIDTH)
-    i = (pos - 12) // 2  # digit index at 12 + 2i, point after it at 13 + 2i
-    digit = (pos >= 12) & (pos <= 45) & (pos % 2 == 0)
-    point = (pos >= 13) & (pos <= 45) & (pos % 2 == 1)
+    i = (pos - 6) // 2  # digit index at 6 + 2i, point after it at 7 + 2i
+    digit = (pos >= 6) & (pos <= 39) & (pos % 2 == 0)
+    point = (pos >= 7) & (pos <= 39) & (pos % 2 == 1)
     keep = (pos == _G_WIDTH - 1) | (~sci & (x < 0) & (pos >= 1) & (pos < 2 - x))
     keep |= digit & (i < np.where(sci | (x < 0), nd, np.maximum(nd, x + 1)))
     at = np.where(sci, 0, x)  # the point follows this digit, if a digit follows it
     keep |= point & (i == at) & (sci | (x >= 0)) & (nd > at + 1)
-    keep |= sci & ((pos == 46) | (pos == 47) | (pos == 50) | (pos == 51) | (big & (pos == 49)))
+    keep |= sci & ((pos == 40) | (pos == 41) | (pos == 44) | (pos == 45) | (big & (pos == 43)))
     keep = np.concatenate([keep, keep]).astype(np.uint8)
     keep[391:, 0] = 1
     return keep
@@ -100,14 +105,14 @@ def _g17_keep() -> np.ndarray:
 
 _G_KEEP = _g17_keep()
 
-# `%.2f` template: 0 '-' | 1-4 integer part, four digits | 5 '.' |
-# 6-9 cents, four digits | 10 separator; one 0/1 row per (sign, count of
-# integer digits - 1)
-_F_WIDTH = 11
-_F_TEMPLATE = np.zeros(_F_WIDTH, np.uint8)
-_F_TEMPLATE[0], _F_TEMPLATE[5] = ord("-"), ord(".")
-_F_KEEP = np.array([[neg, 0, nint == 2, nint >= 1, 1, 1, 0, 0, 1, 1, 1]
-                    for neg in (0, 1) for nint in range(3)], np.uint8)
+# `%.2f` cell: two little-endian uint32 words, zero bytes unused, from two
+# tables: the sign and integer part ("-" for index 1000 + u), then the point
+# and cents with the last byte free for the separator
+_u = np.arange(1000)
+_INT = _DIGITS4.view("<u4")[:1000] >> 8 * (3 - (_u >= 10) - (_u >= 100))  # drop leading '0's
+_SIGNED = np.concatenate([_INT, _INT << 8 | ord("-")]).astype("<u4")
+_CENTS = (_DIGITS4.view("<u4")[:100] >> 16 << 8 | ord(".")).astype("<u4")
+del _u, _INT
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
@@ -167,33 +172,35 @@ def _g17(values: np.ndarray) -> np.ndarray:
     # 17 digits as a leading digit and four groups of four, in exact float64
     high, low = np.divmod(np.where(fb, 10 ** 16, digits), 10 ** 8)
     high, low = high.astype(float), low.astype(float)
-    groups = np.empty((n, 5), np.intp)
-    groups[:, 0] = lead = np.floor(high / 1e8)
-    groups[:, 1] = g1 = np.floor((high - lead * 1e8) / 1e4)
-    groups[:, 2] = high - lead * 1e8 - g1 * 1e4
-    groups[:, 3] = g3 = np.floor(low / 1e4)
-    groups[:, 4] = low - g3 * 1e4
+    lead = np.floor(high / 1e8)
+    groups = np.empty((n, 4), np.intp)
+    groups[:, 0] = g1 = np.floor((high - lead * 1e8) / 1e4)
+    groups[:, 1] = high - lead * 1e8 - g1 * 1e4
+    groups[:, 2] = g3 = np.floor(low / 1e4)
+    groups[:, 3] = low - g3 * 1e4
     # count of significant digits: the last group with a nonzero digit decides
+    # (the leading digit is never 0)
     sig = np.take(_SIG4, groups)
-    nd = np.maximum(np.maximum(sig[:, 0] - 3, sig[:, 1] + 1),
-                    np.maximum(np.maximum(sig[:, 2] + 5, sig[:, 3] + 9), sig[:, 4] + 13))
+    nd = np.maximum(np.maximum(sig[:, 0] + 1, sig[:, 1] + 5),
+                    np.maximum(np.maximum(sig[:, 2] + 9, sig[:, 3] + 13), 1))
     sci = (x < -4) | (x > 16)
     shape = np.where(sci, 357 + 17 * (np.abs(x) >= 100), (x + 4) * 17)
     shape += nd - 1 + 391 * np.signbit(values)
     cells = np.empty((n, _G_WIDTH), np.uint8)
     cells[:] = _G_TEMPLATE
-    cells[:, 6:46] = np.take(_DOTTED4, groups).view(np.uint8).reshape(n, 40)
+    cells[:, 6] = lead + ord("0")
+    cells[:, 8:40] = np.take(_DOTTED4, groups).view(np.uint8).reshape(n, 32)
     if sci.any():
-        cells[:, 47] = np.where(x < 0, ord("-"), ord("+"))
-        cells[:, 48:52] = np.take(_DIGITS4, np.abs(x)).view(np.uint8).reshape(n, 4)
+        cells[:, 41] = np.where(x < 0, ord("-"), ord("+"))
+        cells[:, 42:46] = np.take(_DIGITS4, np.abs(x)).view(np.uint8).reshape(n, 4)
     cells *= np.take(_G_KEEP, shape, axis=0)
     return _fallback(cells, values, fb, "%.17g")
 
 
 def _f2(values: np.ndarray) -> np.ndarray:
-    """`%.2f` cells of a float64 vector: (n, w) uint8, w >= _F_WIDTH, zero
-    bytes unused, the last byte free for a separator."""
-    n = len(values)
+    """`%.2f` cells of a float64 vector: (n, w) uint8, w >= 8 (wider only
+    where a fallback text needs it), zero bytes unused, the last byte free for
+    a separator."""
     a = np.abs(values)
     fast = a < 1000.0  # false for nan
     a = np.where(fast, a, 0.0)
@@ -209,46 +216,51 @@ def _f2(values: np.ndarray) -> np.ndarray:
     fb = ~fast | (np.abs(frac - 0.5) < _TIE_F) | (cents >= 1e5)
     cents[fb] = 0.0
     units = np.floor(cents / 100.0)
-    cells = np.empty((n, _F_WIDTH), np.uint8)
-    cells[:] = _F_TEMPLATE
-    cells[:, 1:5] = np.take(_DIGITS4, units.astype(np.intp)).view(np.uint8).reshape(n, 4)
-    cells[:, 6:10] = np.take(_DIGITS4, (cents - 100.0 * units).astype(np.intp)
-                             ).view(np.uint8).reshape(n, 4)
-    shape = (units >= 10.0).astype(np.intp) + (units >= 100.0) + 3 * np.signbit(values)
-    cells *= np.take(_F_KEEP, shape, axis=0)
-    return _fallback(cells, values, fb, "%.2f")
+    words = np.empty((len(values), 2), "<u4")
+    words[:, 0] = np.take(_SIGNED, units.astype(np.intp) + 1000 * np.signbit(values))
+    words[:, 1] = np.take(_CENTS, (cents - 100.0 * units).astype(np.intp))
+    return _fallback(words.view(np.uint8), values, fb, "%.2f")
 
 
 def _rows(columns: list, cells, sep: bytes, end):
     """Rows of equal-length columns joined by `sep`, each ended by `end` (a
     byte value, or one per row; 0 is dropped), yielded as bytes chunks of
-    about _CHUNK cells.  A float64 column is printed by `cells`; a bytes
-    column (numpy 'S') is copied as it is."""
-    n, ncol = len(columns[0]), len(columns)
+    about _CHUNK printed numbers.  A float64 column is printed by `cells`; a
+    bytes column (numpy 'S') is copied as it is.  Each column has its own
+    slot in the row: a cell, or the column's itemsize, then its separator."""
+    n = len(columns[0])
     floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
-    texts = [j for j in range(ncol) if j not in floats]
-    seps = np.full(ncol, ord(sep), np.uint8)
     end = np.broadcast_to(end, (n,))
-    step = max(1, _CHUNK // ncol)
+    step = max(1, _CHUNK // len(floats)) if floats else _CHUNK
     for i0 in range(0, n, step):
-        r = min(n, i0 + step) - i0
-        block = None
-        if floats:
-            vals = np.stack([columns[j][i0:i0 + r] for j in floats], axis=1, dtype=float)
-            block = cells(vals.ravel()).reshape(r, len(floats), -1)
-        if texts:
-            width = max([block.shape[2] if floats else 0]
-                        + [columns[j].itemsize + 1 for j in texts])
-            full = np.zeros((r, ncol, width), np.uint8)
-            if floats:
-                full[:, floats, :block.shape[2]] = block
-            for j in texts:
-                col = np.ascontiguousarray(columns[j][i0:i0 + r])
-                full[:, j, :col.itemsize] = col.view(np.uint8).reshape(r, -1)
-            block = full
-        block[:, :, -1] = seps
-        block[:, -1, -1] = end[i0:i0 + r]
-        yield block.tobytes().translate(None, b"\0")
+        # a call per chunk: its arrays are freed before the next chunk prints
+        yield _chunk([col[i0:i0 + step] for col in columns], floats, cells, ord(sep),
+                     end[i0:i0 + step])
+
+
+def _chunk(part: list, floats: list, cells, sep: int, end: np.ndarray) -> bytes:
+    """One chunk of `_rows`, the columns cut to its rows."""
+    r = len(part[0])
+    if floats:
+        vals = np.stack([part[j] for j in floats], axis=1, dtype=float)
+        block = cells(vals.ravel()).reshape(r, len(floats), -1)
+    if len(floats) == len(part):
+        block[:, :, -1] = sep
+        row = block.reshape(r, -1)
+    else:
+        widths = [block.shape[2] if j in floats else col.itemsize + 1
+                  for j, col in enumerate(part)]
+        stops = np.cumsum(widths)
+        row = np.empty((r, stops[-1]), np.uint8)
+        for j, (col, stop, width) in enumerate(zip(part, stops, widths)):
+            if j in floats:
+                row[:, stop - width:stop] = block[:, floats.index(j)]
+            else:
+                text = np.ascontiguousarray(col).view(np.uint8).reshape(r, -1)
+                row[:, stop - width:stop - 1] = text
+        row[:, stops - 1] = sep
+    row[:, -1] = end
+    return row.tobytes().translate(None, b"\0")
 
 
 def csv(header: list, columns: list):
@@ -265,11 +277,11 @@ def csv(header: list, columns: list):
 
 
 def g17_cells(values: np.ndarray) -> np.ndarray:
-    """The `%.17g` text of each value as a bytes array (numpy 'S24'): a value
-    repeated down a CSV column is printed once."""
+    """The `%.17g` text of each value as a bytes array (numpy 'S', as wide as
+    its longest text): a value repeated down a CSV column is printed once."""
     values = np.asarray(values, dtype=float)
     return np.array(b"".join(_rows([values], _g17, b",", ord("\n"))).split(b"\n")[:-1],
-                    dtype="S24")
+                    dtype="S")
 
 
 def polyline(xs: np.ndarray, ys: np.ndarray):

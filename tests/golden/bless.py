@@ -10,7 +10,8 @@ output bytes or exit codes on purpose rewrites both manifests with
 
     PYTHONPATH=src python tests/golden/bless.py
 
-and names each changed file in its change notes.
+and names each changed file in its change notes; it prints every entry it
+changed, added or removed.
 """
 from __future__ import annotations
 
@@ -100,5 +101,10 @@ if __name__ == "__main__":
     for make, path in ((produce, MANIFEST), (produce_corpus, CORPUS_MANIFEST)):
         with tempfile.TemporaryDirectory() as tmp:
             found = make(Path(tmp))
+        old = read_manifest(path)[1] if path.exists() else {}
+        for name in sorted(old.keys() | found.keys()):
+            if old.get(name) != found.get(name):
+                what = "added" if name not in old else "removed" if name not in found else "changed"
+                print(f"{what}: {path.name} {name}", file=sys.stderr)
         write_manifest(found, path)
         print(f"wrote {len(found)} digests to {path}", file=sys.stderr)

@@ -90,6 +90,22 @@ def test_simulate_el_residual(tmp_path):
     assert _report(out)["results"]["el_residual"] <= 1e-4
 
 
+def test_simulate_el_residual_of_a_huge_state(tmp_path):
+    # the residual's squares overflow although every entry is finite; the
+    # suite turns a RuntimeWarning into an error
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "potential": {"kind": "quadratic", "eigenvalues": [0.5, 4.0]},
+        "damping": {"kind": "vanishing", "c": 3.0},
+        "interval": {"t1": 1.0, "t2": 9.0},
+        "integration": {"n_steps": 8},
+        "initial": {"x0": [1e300, 1.0]},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    residual = _report(out)["results"]["el_residual"]
+    assert math.isfinite(residual) and residual > 1e298
+
+
 def test_unknown_field_rejected(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json", {"bogus": 1})
     out = tmp_path / "out"

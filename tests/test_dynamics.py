@@ -86,6 +86,20 @@ def test_el_residual():
     assert r[0] / r[1] >= 3.5
 
 
+def test_el_residual_chunks_keep_max_and_nan():
+    # rows in several chunks: the largest row in the last chunk wins, and a
+    # NaN in any one chunk makes the whole residual NaN
+    pot = QuadraticDiagonal([1.0])
+    n = 2 * dynamics._CHUNK + 10
+    t = np.linspace(1.0, 5.0, n)
+    x = np.zeros((n, 1))
+    x[-3] = 2.0
+    assert el_residual(Trajectory(t, x, np.zeros((n, 1))), pot, Vanishing(3.0)) == 2.0
+    x = x.copy()  # Trajectory froze x
+    x[dynamics._CHUNK + 5] = math.nan
+    assert math.isnan(el_residual(Trajectory(t, x, np.zeros((n, 1))), pot, Vanishing(3.0)))
+
+
 def test_bregman_recovers_vanishing_flow():
     # the quadratic takes the propagator, x^4 the scalar stepper
     for pot in (QuadraticDiagonal([1.0]), Polynomial1D(1.0, 4)):

@@ -119,3 +119,50 @@ def test_power_table_is_exact():
         exact = Fraction(10) ** k
         assert hi[j] == float(exact)
         assert lo[j] == float(exact - Fraction(hi[j]))
+
+
+def _mixed_table(n):
+    """One float64 column between three bytes columns, fallback cells at the
+    chunk seams."""
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    for i in (_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, n - 1):
+        values[i] = (math.nan, -0.0, math.inf, 0.0, 1e300)[i % 5]
+    labels = np.array([b"a", b"bb", b"", b"label"])[np.arange(n) % 4]
+    return [labels, values, g17_cells(values[::-1].copy()), np.full(n, b"x" * 7)], values
+
+
+def test_float_and_bytes_slots_across_chunks():
+    columns, values = _mixed_table(2 * _CHUNK + 7)
+    labels, _, reverse, tags = columns
+    want = "".join(f"{a.decode()},{v:.17g},{w:.17g},{t.decode()}\n" for a, v, w, t in
+                   zip(labels, values.tolist(), values[::-1].tolist(), tags))
+    assert _csv_text(columns) == want
+    assert [c.decode() for c in reverse] == [f"{w:.17g}" for w in values[::-1].tolist()]
+
+
+def test_bytes_column_wider_than_a_float_cell():
+    wide = np.array([b"w" * 60, b"", b"y" * 59 + b"z"], dtype="S60")
+    vals = np.array([1.5, -1e-300, math.nan])
+    want = "".join(f"{w.decode()},{v:.17g},{w.decode()}\n" for w, v in zip(wide, vals.tolist()))
+    assert _csv_text([wide, vals, wide]) == want
+
+
+def test_f2_every_integer_part():
+    units = np.arange(1000, dtype=float)
+    values = np.concatenate([units, units + 0.99, -units, -units - 0.99,
+                             [-0.0, -0.001, 999.995, 999.99, -999.99]])
+    _assert_f2(values)
+
+
+def test_chunk_bytes_bounded():
+    columns, _ = _mixed_table(3 * _CHUNK)
+    chunks = list(csv(["a", "b", "c", "d"], columns))[1:]
+    rows = _CHUNK  # one float column
+    width = 25 + sum(c.itemsize + 1 for c in columns if c.dtype.kind == "S")
+    assert len(chunks) == 3
+    assert all(c.count(b"\n") <= rows and len(c) <= rows * width for c in chunks)
+    # two float columns: half the rows a chunk
+    two = list(csv(["a", "b"], [columns[1], columns[1]]))[1:]
+    assert max(c.count(b"\n") for c in two) == _CHUNK // 2
+    assert all(len(c) <= _CHUNK // 2 * 50 for c in two)
