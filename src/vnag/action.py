@@ -137,7 +137,7 @@ def _q_values(spec: LagrangianSpec, w: np.ndarray, nodes: np.ndarray, comp: int,
     if isinstance(spec.pot, Polynomial1D):
         if base is None:
             raise ValueError("Polynomial1D second variation needs a base trajectory")
-        xs, _ = base.sample(nodes)
+        xs = base._hermite(nodes)[0]
         return -spec.pot.second_deriv(xs[:, 0]) * w
     raise ValueError("unsupported potential kind")
 

@@ -11,11 +11,11 @@ the Euclidean Bregman-Lagrangian schedule (a, b, g) with
     d(t) = e^a(t) - a'(t),    s(t) = e^(2 a(t) + b(t)).
 
 `integrate_flow` is the one second-order integrator for all three: classical
-fixed-step RK4 in phase space (X, V); fixed grids are what the quadrature and
-conjugate-point machinery downstream require.  Linear systems (quadratic
-flows in x - x*, and Jacobi fields) chain per-direction 2x2 RK4 step maps by
-a chunked prefix scan; one-dimensional nonlinear flows, and the first-order
-gradient flow on them, step in Python floats with f' inlined.
+fixed-step RK4 in phase space (X, V), on the fixed grids the quadrature and
+conjugate-point code need.  Linear systems (quadratic flows in x - x*, and
+Jacobi fields) chain per-direction 2x2 RK4 step maps, each entry at its
+natural broadcast shape, by a buffered chunked prefix scan; one-dimensional
+nonlinear flows and their gradient flows step in Python floats, f' inlined.
 """
 from __future__ import annotations
 
@@ -73,7 +73,8 @@ class Constant:
             raise ValueError("alpha must be finite and >= 0")
 
     def coefficient(self, t):
-        return self.alpha if np.isscalar(t) else np.full_like(np.asarray(t, float), self.alpha)
+        """alpha at any t, a float or an array of times, as `force` gives 1.0."""
+        return self.alpha
 
     def force(self, t):
         return 1.0
@@ -149,34 +150,37 @@ class Trajectory:
     def step(self) -> float:
         return _uniform_step(self.t)
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Cubic-Hermite evaluation of (x, v) at arbitrary times in range."""
+    def _hermite(self, times):
+        """Cubic-Hermite positions (n, d) at times in range, with each time's interval
+        i, its width w (n, 1) and the fraction s of it, which `sample` reuses."""
         q = np.atleast_1d(np.asarray(times, dtype=float))
         if q.min() < self.t[0] - 1e-12 or q.max() > self.t[-1] + 1e-12:
             raise ValueError("sample times outside trajectory range")
         i = np.clip(np.searchsorted(self.t, q, side="right") - 1, 0, len(self.t) - 2)
-        w = self.t[i + 1] - self.t[i]
-        s = np.clip((q - self.t[i]) / w, 0.0, 1.0)
+        w = (self.t[i + 1] - self.t[i])[:, None]
+        s = np.clip((q - self.t[i]) / w[:, 0], 0.0, 1.0)
         s2, s3 = s * s, s * s * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        x0, x1 = self.x[i], self.x[i + 1]
-        v0, v1 = self.v[i], self.v[i + 1]
-        wc = w[:, None]
-        xs = h00[:, None] * x0 + h10[:, None] * wc * v0 + h01[:, None] * x1 + h11[:, None] * wc * v1
-        vs = ((6 * s2 - 6 * s)[:, None] * (x0 - x1)) / wc \
-            + (3 * s2 - 4 * s + 1)[:, None] * v0 + (3 * s2 - 2 * s)[:, None] * v1
+        h00, h10, h01, h11 = 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+        xs = h00[:, None] * self.x[i] + h10[:, None] * w * self.v[i] \
+            + h01[:, None] * self.x[i + 1] + h11[:, None] * w * self.v[i + 1]
+        return xs, i, w, s
+
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Cubic-Hermite (x, v) at arbitrary times in range: `_hermite`'s x, its derivative v."""
+        xs, i, w, s = self._hermite(times)
+        s2 = s * s
+        vs = ((6 * s2 - 6 * s)[:, None] * (self.x[i] - self.x[i + 1])) / w \
+            + (3 * s2 - 4 * s + 1)[:, None] * self.v[i] + (3 * s2 - 2 * s)[:, None] * self.v[i + 1]
         return xs, vs
 
 
 def _step_maps(dampf, qfn, t, h):
     """RK4 maps M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = [[0, 1], [-q, -d]] y
-    over [t, t + h], one per start time in t (m,) and direction, as four
-    (m, k) entry arrays; qfn(times) broadcasts against (m, k)."""
+    over [t, t + h] from a float t or a column (m, 1) of them, as M's four entries.
+    d = dampf(times) and q = qfn(times), and so the entries, keep their natural
+    broadcast shapes: a float, a (k,) row, an (m, 1) column or (m, k)."""
     def coef(s):
-        return -qfn(s), -dampf(s)[:, None]
+        return -qfn(s), -dampf(s)
 
     mid = coef(t + 0.5 * h)
     k = (0.0, 1.0, *coef(t))
@@ -194,22 +198,28 @@ def _step_maps(dampf, qfn, t, h):
 def _linear_chunks(dampf, qfn, y0, u0, t1: float, h: float, n_steps: int):
     """March y'' = -d(t) y' - q(t) y per direction from (y, y') = (y0, u0) (k,) at
     t1 over n_steps RK4 steps of size h.  Yields (i0, y, y') per chunk of
-    m = _CHUNK // k steps from step i0 on, y and y' (m, k) at the step ends;
-    step maps from one pass, running products from a Hillis-Steele scan."""
+    m = _CHUNK // k steps from step i0 on, y and y' (m, k) at the step ends.  Step
+    maps fill one (2, 2, m, k) buffer; a Hillis-Steele scan makes it the running
+    products in place, each pass two broadcast multiplies into product buffers and
+    one add.  The three buffers hold 96 max(_CHUNK, k) bytes."""
     m = max(1, _CHUNK // y0.size)
+    buf, prod0, prod1 = np.empty((3, 2, 2, m, y0.size))
     y, u = y0, u0
     for i0 in range(0, n_steps, m):
+        n = min(m, n_steps - i0)
+        p = buf[:, :, :n]
         # divergence surfaces as NaN/inf in the state, reported as NumericalError
         with np.errstate(over="ignore", invalid="ignore"):
-            p = _step_maps(dampf, qfn, t1 + h * np.arange(i0, min(i0 + m, n_steps)), h)
+            p[0, 0], p[0, 1], p[1, 0], p[1, 1] = _step_maps(
+                dampf, qfn, (t1 + h * np.arange(i0, i0 + n))[:, None], h)
             s = 1
-            while s < len(p[0]):  # p[i] <- p[i] p[i - s]
-                a, b = [e[s:] for e in p], [e[:-s] for e in p]
-                a[0][:], a[1][:], a[2][:], a[3][:] = (
-                    a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-                    a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+            while s < n:  # p[i] <- p[i] p[i - s]
+                a, b = p[:, :, s:], p[:, :, :-s]
+                np.multiply(a[:, 0, None], b[None, 0], out=prod0[:, :, :n - s])
+                np.multiply(a[:, 1, None], b[None, 1], out=prod1[:, :, :n - s])
+                np.add(prod0[:, :, :n - s], prod1[:, :, :n - s], out=a)
                 s *= 2
-            ys, us = p[0] * y + p[1] * u, p[2] * y + p[3] * u
+            ys, us = p[0, 0] * y + p[0, 1] * u, p[1, 0] * y + p[1, 1] * u
             if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(us))):
                 raise NumericalError("non-finite state encountered during integration")
         y, u = ys[-1], us[-1]
@@ -291,7 +301,7 @@ def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0,
     t = np.linspace(t1, t2, n_steps + 1)
     if isinstance(pot, QuadraticDiagonal):
         # linear in x - x*: one 2x2 system per eigendirection
-        xs, vs = _propagate(coef, lambda s: np.multiply.outer(force(s), pot.eigenvalues),
+        xs, vs = _propagate(coef, lambda s: force(s) * pot.eigenvalues,
                             x0 - pot.xstar, v0, t1, t2, n_steps)
         xs += pot.xstar
         return Trajectory(t, xs, vs)
@@ -377,9 +387,9 @@ class BregmanParams:
 
 
 def _pointwise(fn: Callable[[float], float], t):
-    """fn at a scalar t, or an array of fn over an array of times; overflow is NumericalError."""
+    """fn at a scalar t, or an array of fn in an array t's shape; overflow is NumericalError."""
     try:
-        return fn(t) if np.ndim(t) == 0 else np.array([fn(s) for s in t])
+        return fn(t) if np.ndim(t) == 0 else np.reshape([fn(s) for s in np.ravel(t)], np.shape(t))
     except OverflowError as exc:
         raise NumericalError("damping schedule overflows float64") from exc
 
@@ -437,9 +447,9 @@ def el_residual(traj: Trajectory, pot: Potential,
     for i in range(1, n - 1, _CHUNK):
         j = min(i + _CHUNK, n - 1)
         acc = (traj.v[i + 1:j + 1] - traj.v[i - 1:j - 1]) / (2.0 * h)
-        coef = np.asarray(damping.coefficient(traj.t[i:j]), dtype=float)
+        coef = np.reshape(damping.coefficient(traj.t[i:j]), (-1, 1))
         force = np.reshape(damping.force(traj.t[i:j]), (-1, 1))
-        res = acc + coef[:, None] * traj.v[i:j] + force * pot.grad_rows(traj.x[i:j])
+        res = acc + coef * traj.v[i:j] + force * pot.grad_rows(traj.x[i:j])
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(res, axis=1)
             # a finite row whose squares overflow: m * |row / m|, m its largest entry
@@ -455,7 +465,7 @@ def constant_damping_solution(lam: float, alpha: float, x0: float, v0: float,
     """Closed-form solution of x'' + alpha x' + lam x = 0 from (x0, v0) at t0."""
     t = np.asarray(t, dtype=float) - t0
     disc = alpha * alpha - 4.0 * lam
-    if abs(disc) < 1e-12 * max(1.0, alpha * alpha):
+    if abs(disc) <= 1e-12 * max(alpha * alpha, 4.0 * lam):  # critical, relative to the larger term
         r = -alpha / 2.0
         c2 = v0 - r * x0
         return (x0 + c2 * t) * np.exp(r * t)

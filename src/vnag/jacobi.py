@@ -201,8 +201,8 @@ def _zeros_from_grid(t1: float, h: float, ys, us, dampf, qfn) -> list:
 
     def h_from(i, tq):
         t0 = t1 + i * h
-        m = _step_maps(dampf, qfn, np.array([t0]), tq - t0)
-        return float(m[0][0, 0] * ys[i] + m[1][0, 0] * us[i])
+        m = _step_maps(dampf, qfn, t0, tq - t0)
+        return float(m[0] * ys[i] + m[1] * us[i])
 
     return [float(_refine(lambda tq: h_from(i, tq), t1 + i * h, t1 + (i + 1) * h,
                           ys[i], ys[i + 1]))
@@ -271,9 +271,12 @@ def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
     _check_steps(n_steps, 1000)
     if t1 < base.t1 - 1e-9 or t2 > base.t2 + 1e-9:
         raise ValueError("window outside the base trajectory")
-    zeros = _shoot(damping.coefficient,
-                   lambda t: pot.second_deriv(base.sample(np.clip(t, base.t1, base.t2))[0]),
-                   t1, t2, n_steps)
+
+    def curvature(t):  # f''(Y(t)): a column (m, 1) for a column of times, a float for a float
+        ddf = pot.second_deriv(base._hermite(np.clip(np.ravel(t), base.t1, base.t2))[0])
+        return ddf if np.ndim(t) else float(ddf[0, 0])
+
+    zeros = _shoot(damping.coefficient, curvature, t1, t2, n_steps)
     return ConjugateReport(None, t1, t2, tuple(zeros), "shooting")
 
 
@@ -285,7 +288,7 @@ def first_conjugate_time(spec: LagrangianSpec, eigen_lambda: float, t1: float,
                          t_max: float | None = None) -> float | None:
     """Earliest time conjugate to t1, or None.
 
-    Constant damping is fully analytic: none when alpha >= 2 sqrt(lam),
+    Constant damping is fully analytic: none when alpha >= 2 sqrt(lam) (to 4 ulps),
     otherwise t1 + 2 pi / sqrt(4 lam - alpha^2).  Vanishing damping (c = 3)
     searches the Bessel cross-product condition up to t1 + 50/sqrt(lam)
     (a safety cap; the asymptotic oscillation guarantees a root well before
@@ -299,7 +302,7 @@ def first_conjugate_time(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     # the searched window: [t1, t_max], or [t1, cap] without one
     _check_interval(damping, t1, cap if t_max is None else t_max)
     if isinstance(damping, Constant):
-        if damping.alpha >= 2.0 * math.sqrt(lam) - 1e-12:
+        if damping.alpha >= 2.0 * math.sqrt(lam) * (1.0 - 4.0 * sys.float_info.epsilon):
             return None
         return t1 + 2.0 * math.pi / math.sqrt(4.0 * lam - damping.alpha ** 2)
     if t_max is not None:

@@ -1,6 +1,10 @@
 """The public surface: `vnag.__all__` is exactly this list, each name binds
-under `from vnag import *`, and each function and class says what it is."""
+under `from vnag import *`, and each function and class says what it is.
+A numpy deprecation met inside vnag fails the suite."""
 import inspect
+import warnings
+
+import pytest
 
 import vnag
 
@@ -45,3 +49,13 @@ def test_functions_and_classes_have_docstrings():
     bare = [name for name, obj in objs.items()
             if (inspect.isfunction(obj) or inspect.isclass(obj)) and not _written_doc(obj)]
     assert not bare
+
+
+def test_deprecations_in_vnag_are_errors():
+    # pyproject's filterwarnings turn a deprecation or future warning that
+    # a vnag module meets into an error, and leave other modules' alone
+    for category in (DeprecationWarning, FutureWarning):
+        with pytest.raises(category):
+            warnings.warn_explicit("deliberate", category, "dynamics.py", 1, module="vnag.dynamics")
+        with pytest.warns(category):
+            warnings.warn_explicit("deliberate", category, "other.py", 1, module="other")

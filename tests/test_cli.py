@@ -376,6 +376,36 @@ def test_classify_constant_alpha_sweep(tmp_path):
     assert recs[1]["classification"]["verdict"] == "minimizer"
 
 
+def test_classify_tiny_curvature_constant_damping(tmp_path):
+    # 2 sqrt(lam) = 1e-12: undamped, the first conjugate time pi / sqrt(lam)
+    # ~ 6.28e12 lies inside the window, so the path is a saddle; an absolute
+    # critical-damping band of 1e-12 would call it a minimizer
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "potential": {"kind": "quadratic", "eigenvalues": [2.5e-25]},
+        "damping": {"kind": "constant", "alpha": 0.0},
+        "interval": {"t1": 0.0, "t2": 1e13},
+    })
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    cls = _report(out)["results"]["records"][0]["classification"]
+    assert cls["verdict"] == "saddle"
+    assert cls["first_conjugate_times"][0] == pytest.approx(math.pi / math.sqrt(2.5e-25), rel=1e-15)
+
+
+def test_simulate_tiny_curvature_closed_form(tmp_path):
+    # x'' + 1e-20 x = 0 over [0, 1e10] is cos(1e-10 t), not critical damping
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "potential": {"kind": "quadratic", "eigenvalues": [1e-20]},
+        "damping": {"kind": "constant", "alpha": 0.0},
+        "interval": {"t1": 0.0, "t2": 1e10},
+        "integration": {"n_steps": 4000},
+        "initial": {"x0": [1.0]},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert _report(out)["results"]["closed_form_max_error"] <= 1e-12
+
+
 def test_reproduce_fig1_opposite_signs(tmp_path):
     assert main(["reproduce", "--figure", "fig1", "--out",
                  str(tmp_path / "a")]) == 0

@@ -215,6 +215,40 @@ def test_sample_matches_nodes():
     np.testing.assert_allclose(vs[:, 0], traj.v[::7, 0], atol=1e-12)
 
 
+def test_hermite_positions_are_sample_positions():
+    # the position-only evaluation gives sample's positions bit for bit
+    rng = np.random.default_rng(3)
+    for traj in (integrate_flow(Polynomial1D(1.0, 4, 0.0), Vanishing(3.0), [1.5], [0.0],
+                                0.2, 12.2, 600),
+                 integrate_flow(QuadraticDiagonal([0.3, 5.0]), Constant(0.4), [1.0, -2.0],
+                                [0.5, 0.0], 0.0, 9.0, 250)):
+        for times in (rng.uniform(traj.t1, traj.t2, 500), traj.t, [traj.t1, traj.t2], traj.t2):
+            assert np.array_equal(traj._hermite(times)[0], traj.sample(times)[0])
+
+
+def test_constant_coefficient_is_alpha():
+    a = 0.7
+    for t in (1.5, np.linspace(0.0, 3.0, 7), np.ones((4, 1))):
+        assert Constant(a).coefficient(t) is a
+
+
+def test_step_maps_float_path_matches_column_path():
+    # root refinement steps from a float start time, the chunked march from a
+    # column of them: the entries agree bit for bit
+    t = np.linspace(0.3, 7.0, 9)
+    eig = np.array([0.04, 0.9, 7.0])
+    cases = [(d.coefficient, lambda s, d=d: d.force(s) * eig)
+             for d in (Vanishing(3.0), Vanishing(2.5), Constant(0.15),
+                       nesterov_recovering_params())]
+    cases.append((Vanishing(2.5).coefficient, lambda s: 0.9))  # a Jacobi field's scalar curvature
+    for (dampf, qfn), h in itertools.product(cases, (0.01, 0.37)):
+        col = [np.broadcast_to(e, (len(t), 3))
+               for e in dynamics._step_maps(dampf, qfn, t[:, None], h)]
+        for j, tj in enumerate(t):
+            for e, c in zip(dynamics._step_maps(dampf, qfn, float(tj), h), col):
+                assert np.array_equal(np.broadcast_to(e, (3,)), c[j])
+
+
 def test_propagator_matches_sequential_rk4():
     # QuadraticDiagonal flows take the transfer-matrix scan; the same
     # quadratic written as Polynomial1D(lam/2, 2) takes the sequential

@@ -14,7 +14,7 @@ from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   jacobi_closed_vanishing, saddle_witness, second_variation,
                   sinusoid_d2j_closed, triangle, triangle_d2j_closed)
 from vnag import (NumericalError, dynamics, first_variation, fourier_sine,
-                  integrate_gradient_flow, jacobi_solution, sinusoid)
+                  integrate_gradient_flow, jacobi, jacobi_solution, sinusoid)
 from vnag.jacobi import _zeros_from_grid
 
 
@@ -205,6 +205,28 @@ def test_conjugate_points_along_matches_constant_curvature():
     direct = conjugate_points_shooting(_vspec(2.0 * a), 2.0 * a, 1.0, 14.0,
                                        n_steps=20000).conjugate_times
     np.testing.assert_allclose(along, direct, atol=1e-7)
+
+
+def test_along_curvature_float_matches_column(monkeypatch):
+    # root refinement asks f''(Y(t)) at a float time, the march at a column of
+    # times: a float comes back, equal to the column entry bit for bit, and so
+    # are the step maps built on it
+    pot = Polynomial1D(1.0, 4, 0.0)
+    base = integrate_flow(pot, Vanishing(3.0), [1.5], [0.0], 0.2, 12.2, 6000)
+    seen = {}
+    monkeypatch.setattr(jacobi, "_shoot",
+                        lambda dampf, qfn, *args, **kw: seen.update(dampf=dampf, qfn=qfn) or [])
+    conjugate_points_along(base, pot, Vanishing(2.5), 1.0, 9.0, n_steps=5000)
+    dampf, qfn = seen["dampf"], seen["qfn"]
+    t = np.concatenate([np.linspace(1.0, 9.0, 11), base.t[100:103], [base.t1, base.t2]])
+    col = qfn(t[:, None])
+    maps = dynamics._step_maps(dampf, qfn, t[:, None], 0.05)
+    assert col.shape == (len(t), 1)
+    for j, tj in enumerate(t):
+        q = qfn(float(tj))
+        assert type(q) is float and q == col[j, 0]
+        got = dynamics._step_maps(dampf, qfn, float(tj), 0.05)
+        assert all(f == c[j, 0] for f, c in zip(got, maps))
 
 
 # ----------------------------------------------------- first conjugate / classify
