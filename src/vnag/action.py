@@ -4,9 +4,9 @@ The Lagrangian family is w(t) * (0.5 |Y'|^2 - f(Y)) with time weight
 w(t) = t^c (vanishing damping c/t) or exp(alpha t) (constant damping).
 Quadrature is composite Simpson, split at the knot times of piecewise
 perturbations so every smooth piece is integrated at full fourth order.
-The variations evaluate the weight, the curve and the probe (h and h'
-together) once over the nodes of all spans, then sum each span's Simpson
-integral over its slice of that one integrand.
+Every integral evaluates its integrand once over the nodes of all spans
+(`action` over the curve's grid, the variations over fresh span grids)
+and sums each span's Simpson integral over its slice (`_span_simpson`).
 """
 from __future__ import annotations
 
@@ -28,9 +28,6 @@ class LagrangianSpec:
     damping: DampingSchedule
     pot: Potential
 
-    def weight(self, t):
-        return self.damping.weight(t)
-
     def descriptor(self) -> dict:
         return {"damping": self.damping.descriptor(),
                 "potential": self.pot.descriptor()}
@@ -45,68 +42,60 @@ def _simpson(vals: np.ndarray, step: float) -> float:
                            + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
 
 
-def _segment_slices(traj: Trajectory):
-    """Index ranges of the uniform segments delimited by the knot times."""
-    if not traj.knots:
-        return [(0, len(traj.t) - 1)]
-    bounds = [0]
-    for k in traj.knots:
-        idx = int(np.argmin(np.abs(traj.t - k)))
-        if abs(traj.t[idx] - k) > 1e-9:
-            raise ValueError("knot time missing from the trajectory grid")
-        bounds.append(idx)
-    bounds.append(len(traj.t) - 1)
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def action(spec: LagrangianSpec, curve: Trajectory) -> float:
-    """Composite-Simpson action integral along a sampled curve.
-
-    The grid (or each knot-delimited segment of it) must be uniform with an
-    even number of intervals.
-    """
-    _check_interval(spec.damping, curve.t1, curve.t2)
-    total = 0.0
-    for i0, i1 in _segment_slices(curve):
-        t = curve.t[i0:i1 + 1]
-        step = _uniform_step(t)
-        kinetic = 0.5 * np.einsum("ij,ij->i", curve.v[i0:i1 + 1], curve.v[i0:i1 + 1])
-        integrand = np.asarray(spec.weight(t), dtype=float) \
-            * (kinetic - spec.pot.value_rows(curve.x[i0:i1 + 1]))
-        total += _simpson(integrand, step)
-    return float(total)
-
-
-def _span_grids(t1: float, t2: float, inner_knots, n_steps: int):
-    """Even Simpson node counts for each inter-knot span, ~n_steps total.
-
-    Short spans (blend windows) keep a 32-interval floor; their integrands
-    carry the sharpest derivatives, so skimping there costs real accuracy.
-    """
-    bounds = [t1, *sorted(k for k in inner_knots if t1 < k < t2), t2]
-    total = t2 - t1
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n = max(32, 2 * math.ceil(n_steps * (b - a) / total / 2.0))
-        yield np.linspace(a, b, n + 1)
-
-
-def _span_nodes(t1: float, t2: float, inner_knots, n_steps: int):
-    """The nodes of every span's grid in one array (a knot shared by two
-    spans appears once in each), and each span's (start, stop, step)."""
-    grids = list(_span_grids(t1, t2, inner_knots, n_steps))
-    spans, start = [], 0
-    for g in grids:
-        spans.append((start, start + len(g), float(g[1] - g[0])))
-        start += len(g)
-    return np.concatenate(grids), spans
-
-
 def _span_simpson(vals: np.ndarray, spans) -> float:
     """Sum of the composite-Simpson integrals of each span's slice of vals."""
     total = 0.0
     for i0, i1, step in spans:
         total += _simpson(vals[i0:i1], step)
     return total
+
+
+def action(spec: LagrangianSpec, curve: Trajectory) -> float:
+    """Composite-Simpson action integral along a sampled curve.
+
+    The grid (or each knot-delimited segment of it) must be uniform with an
+    even number of intervals, and each knot must be one of its interior grid times.
+    """
+    _check_interval(spec.damping, curve.t1, curve.t2)
+    # exact: perturb_curve puts each knot on its grid (linspace ends at its stop)
+    if not np.all(np.isin(curve.knots, curve.t[1:-1])):
+        raise ValueError("knot time missing from the trajectory grid")
+    bounds = [0, *np.searchsorted(curve.t, np.unique(curve.knots)), len(curve.t) - 1]
+    spans = [(i0, i1 + 1, _uniform_step(curve.t[i0:i1 + 1]))
+             for i0, i1 in zip(bounds[:-1], bounds[1:])]
+    kinetic = 0.5 * np.einsum("ij,ij->i", curve.v, curve.v)
+    integrand = np.asarray(spec.damping.weight(curve.t), dtype=float) \
+        * (kinetic - spec.pot.value_rows(curve.x))
+    return float(_span_simpson(integrand, spans))
+
+
+def _span_nodes(t1: float, t2: float, inner_knots, n_steps: int):
+    """Even Simpson node counts for each inter-knot span, ~n_steps total: the
+    nodes of every span's grid in one array (a knot shared by two spans
+    appears once in each), and each span's (start, stop, step).
+
+    Short spans (blend windows) keep a 32-interval floor; their integrands
+    carry the sharpest derivatives, so skimping there costs real accuracy.
+    """
+    bounds = [t1, *sorted(k for k in inner_knots if t1 < k < t2), t2]
+    grids, spans = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = max(32, 2 * math.ceil(n_steps * (b - a) / (t2 - t1) / 2.0))
+        grids.append(np.linspace(a, b, n + 1))
+        start = spans[-1][1] if spans else 0
+        spans.append((start, start + n + 1, float(grids[-1][1] - grids[-1][0])))
+    return np.concatenate(grids), spans
+
+
+def _probe_nodes(spec: LagrangianSpec, t1: float, t2: float, h, n_steps: int):
+    """The variations' shared prologue: check the window, n_steps and h, then
+    the span nodes and spans, the weight w and (h, h') at the nodes."""
+    _check_interval(spec.damping, t1, t2)
+    _check_steps(n_steps, 1)
+    _check_admissible(h, t1, t2, spec.pot.dim)
+    nodes, spans = _span_nodes(t1, t2, h.interior_knots(), n_steps)
+    w = np.asarray(spec.damping.weight(nodes), dtype=float)
+    return nodes, spans, w, *h.values(nodes)
 
 
 def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
@@ -116,16 +105,10 @@ def first_variation(spec: LagrangianSpec, curve: Trajectory, h,
     Vanishes (to quadrature accuracy) when the curve solves the
     Euler-Lagrange equation.
     """
-    _check_interval(spec.damping, curve.t1, curve.t2)
-    _check_steps(n_steps, 1)
-    _check_admissible(h, curve.t1, curve.t2, spec.pot.dim)
-    comp = h.component
-    nodes, spans = _span_nodes(curve.t1, curve.t2, h.interior_knots(), n_steps)
+    nodes, spans, w, hv, hd = _probe_nodes(spec, curve.t1, curve.t2, h, n_steps)
     xs, vs = curve.sample(nodes)
-    w = np.asarray(spec.weight(nodes), dtype=float)
-    hv, hd = h._values(nodes)
-    g = spec.pot.grad_rows(xs)[:, comp]
-    return float(_span_simpson(w * (vs[:, comp] * hd - g * hv), spans))
+    g = spec.pot.grad_rows(xs)[:, h.component]
+    return float(_span_simpson(w * (vs[:, h.component] * hd - g * hv), spans))
 
 
 def _q_values(spec: LagrangianSpec, w: np.ndarray, nodes: np.ndarray, comp: int,
@@ -149,15 +132,9 @@ def second_variation(spec: LagrangianSpec, t1: float, t2: float, h,
     For quadratic potentials Q is independent of the base curve, so none is
     needed; Polynomial1D requires `base` to evaluate f'' along it.
     """
-    _check_interval(spec.damping, t1, t2)
-    _check_steps(n_steps, 1)
-    _check_admissible(h, t1, t2, spec.pot.dim)
-    nodes, spans = _span_nodes(t1, t2, h.interior_knots(), n_steps)
-    w = np.asarray(spec.weight(nodes), dtype=float)
+    nodes, spans, w, hv, hd = _probe_nodes(spec, t1, t2, h, n_steps)
     q = _q_values(spec, w, nodes, h.component, base)
-    hv, hd = h._values(nodes)
     # an overflowing weight makes d2J non-finite; callers check the result
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = 0.5 * (w * hd * hd + q * hv * hv)
         return float(_span_simpson(integrand, spans))
-

@@ -301,8 +301,6 @@ def cmd_simulate(cfg: dict, writer: Writer, seed: int) -> dict:
 
 def _closed_form_for(h, spec: LagrangianSpec) -> float | None:
     pot, damping = spec.pot, spec.damping
-    if not isinstance(pot, QuadraticDiagonal):
-        return None
     lam = float(pot.eigenvalues[h.component])
     if h.kind == "triangle" and isinstance(damping, Vanishing) and damping.c == 3.0:
         c, eps, _ = h.params
@@ -316,6 +314,8 @@ def _closed_form_for(h, spec: LagrangianSpec) -> float | None:
 def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
     pot, damping, (t1, t2), (n_steps,) = _config(
         cfg, "potential", "damping", "interval", "integration")
+    if not isinstance(pot, QuadraticDiagonal):
+        raise ConfigError("second-variation needs a quadratic potential")
     n_steps = 4096 if n_steps is None else n_steps
     spec = LagrangianSpec(damping, pot)
     probes = [h for entry in _config(cfg, "perturbations")[0]
@@ -333,7 +333,7 @@ def cmd_second_variation(cfg: dict, writer: Writer, seed: int) -> dict:
     for a, b in zip(table[:-1], table[1:]):
         if a["d2j_quadrature"] * b["d2j_quadrature"] < 0:
             sign_changes.append({"between": [a["perturbation"], b["perturbation"]]})
-    if isinstance(pot, QuadraticDiagonal) and probes and probes[0].kind == "triangle":
+    if probes and probes[0].kind == "triangle":
         lam = float(pot.eigenvalues[0])
         c = probes[0].params[0]
         sign_changes.append({"epsilon_star": epsilon_star(lam * c * c, lam)})

@@ -15,7 +15,7 @@ fixed-step RK4 in phase space (X, V), on the fixed grids the quadrature and
 conjugate-point code need.  Linear systems (quadratic flows in x - x*, and
 Jacobi fields) chain per-direction 2x2 RK4 step maps, each entry at its
 natural broadcast shape, by a buffered chunked prefix scan; one-dimensional
-nonlinear flows and their gradient flows step in Python floats, f' inlined.
+nonlinear flows step in Python floats (f' inlined; gradient flows call it).
 """
 from __future__ import annotations
 
@@ -325,17 +325,17 @@ def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
         with np.errstate(over="ignore", invalid="ignore"):
             r = 1.0 - z + z ** 2 / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
             xs = pot.xstar + (x0 - pot.xstar) * r ** np.arange(n_steps + 1)[:, None]
-    else:  # RK4 in Python floats, f' inlined and states stored per chunk as in _march
-        x, ap, q, hh, h6 = float(x0[0]), pot.a * pot.p, pot.p - 1, 0.5 * h, h / 6.0
+    else:  # RK4 in Python floats, states stored per chunk as in _march
+        x, grad, hh, h6 = float(x0[0]), pot.grad_rows, 0.5 * h, h / 6.0
         xs = np.full(n_steps + 1, x)
         try:
             for i0 in range(0, n_steps, _CHUNK):
                 path = []
                 for _ in range(min(_CHUNK, n_steps - i0)):
-                    a1 = -(ap * (x - pot.xstar) ** q)
-                    a2 = -(ap * (x + hh * a1 - pot.xstar) ** q)
-                    a3 = -(ap * (x + hh * a2 - pot.xstar) ** q)
-                    a4 = -(ap * (x + h * a3 - pot.xstar) ** q)
+                    a1 = -grad(x)
+                    a2 = -grad(x + hh * a1)
+                    a3 = -grad(x + hh * a2)
+                    a4 = -grad(x + h * a3)
                     x = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                     path.append(x)
                 xs[i0 + 1:i0 + 1 + len(path)] = path

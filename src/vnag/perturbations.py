@@ -45,8 +45,7 @@ class Perturbation:
 
     `component` selects the coordinate axis the (scalar) profile acts on
     when applied to multidimensional curves.  h and h' are evaluated
-    together in one pass over the times (`_values`); `value` and `deriv`
-    each return one of the pair.
+    together in one pass over the times (`values`).
     """
 
     kind: str
@@ -57,25 +56,14 @@ class Perturbation:
     params: tuple = ()
     knots: tuple = ()
 
-    # ---- evaluation ----
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown perturbation kind {self.kind!r}")
 
-    def value(self, t) -> np.ndarray:
-        return self._values(t)[0]
-
-    def deriv(self, t) -> np.ndarray:
-        return self._values(t)[1]
-
-    def _values(self, t) -> tuple[np.ndarray, np.ndarray]:
+    def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(h(t), h'(t)) from one pass over t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == "triangle":
-            hv, hd = self._triangle(t)
-        elif self.kind == "sinusoid":
-            hv, hd = self._sinusoid(t)
-        elif self.kind == "fourier":
-            hv, hd = self._fourier(t)
-        else:
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        hv, hd = _KINDS[self.kind][0](self, t)
         return self.sigma * hv, self.sigma * hd
 
     def _triangle(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +131,14 @@ class Perturbation:
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "t1": self.t1, "t2": self.t2,
              "sigma": self.sigma, "component": self.component}
-        if self.kind == "triangle":
-            d.update(c=self.params[0], eps=self.params[1], delta=self.params[2])
-        elif self.kind == "sinusoid":
-            d.update(k=self.params[0])
-        else:
-            d.update(seed=self.params[0], n_modes=self.params[1], decay=self.params[2])
+        d.update(zip(_KINDS[self.kind][1], self.params))
         return d
+
+
+# each kind's evaluator and the names of its leading params (fourier's coefficients go unnamed)
+_KINDS = {"triangle": (Perturbation._triangle, ("c", "eps", "delta")),
+          "sinusoid": (Perturbation._sinusoid, ("k",)),
+          "fourier": (Perturbation._fourier, ("seed", "n_modes", "decay"))}
 
 
 def triangle(c: float, eps: float, t1: float, t2: float,
@@ -207,14 +196,15 @@ def scale(h: Perturbation, sigma: float) -> Perturbation:
 
 
 def _check_admissible(h: Perturbation, t1: float, t2: float, dim: int):
-    """The one admissibility rule: h lives on [t1, t2] (to 1e-9), acts on a
-    coordinate below dim and vanishes at both ends."""
-    if abs(h.t1 - t1) > 1e-9 or abs(h.t2 - t2) > 1e-9:
+    """The one admissibility rule: h lives on [t1, t2] (to 1e-9 of its
+    length), acts on a coordinate below dim and vanishes at both ends."""
+    tol = 1e-9 * (t2 - t1)
+    if abs(h.t1 - t1) > tol or abs(h.t2 - t2) > tol:
         raise ValueError("perturbation interval does not match")
     if not 0 <= h.component < dim:
         raise ValueError(f"perturbation component {h.component} out of range "
                          f"for dimension {dim}")
-    ends = np.abs(h.value(np.array([t1, t2])))
+    ends = np.abs(h.values(np.array([t1, t2]))[0])
     if np.any(ends > 1e-12 * max(1.0, abs(h.sigma))):
         raise ValueError("perturbation must vanish at both endpoints")
 
@@ -228,26 +218,22 @@ def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
     action quadrature integrates each smooth piece at full order.
     """
     _check_admissible(h, base.t1, base.t2, base.dim)
-    inner = h.interior_knots()
-    if not inner:
-        x = base.x.copy()
-        v = base.v.copy()
-        hv, hd = h._values(base.t)
-        x[:, h.component] += hv
-        v[:, h.component] += hd
-        return Trajectory(base.t, x, v)
-    bounds = [base.t1, *sorted(inner), base.t2]
-    step = (base.t2 - base.t1) / (len(base.t) - 1)
-    pieces = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        # 32-interval floor: the narrow blend windows hold the sharpest
-        # integrand derivatives the action quadrature will see
-        n = max(32, 2 * round((b - a) / (2.0 * step)))
-        seg = np.linspace(a, b, n + 1)
-        pieces.append(seg if not pieces else seg[1:])
-    t = np.concatenate(pieces)
-    x, v = base.sample(t)
-    hv, hd = h._values(t)
+    inner = sorted(h.interior_knots())
+    if inner:
+        bounds = [base.t1, *inner, base.t2]
+        step = (base.t2 - base.t1) / (len(base.t) - 1)
+        pieces = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            # 32-interval floor: the narrow blend windows hold the sharpest
+            # integrand derivatives the action quadrature will see
+            n = max(32, 2 * round((b - a) / (2.0 * step)))
+            seg = np.linspace(a, b, n + 1)  # ends at b exactly, so each knot is on the grid
+            pieces.append(seg if not pieces else seg[1:])
+        t = np.concatenate(pieces)
+        x, v = base.sample(t)
+    else:
+        t, x, v = base.t, base.x.copy(), base.v.copy()
+    hv, hd = h.values(t)
     x[:, h.component] += hv
     v[:, h.component] += hd
-    return Trajectory(t, x, v, knots=tuple(sorted(inner)))
+    return Trajectory(t, x, v, knots=tuple(inner))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vnag import (Constant, LagrangianSpec, Perturbation, Polynomial1D, QuadraticDiagonal,
                   Trajectory, Vanishing, action, first_variation, fourier_sine, integrate_flow,
                   perturb_curve, scale, second_variation, sinusoid, triangle)
-from vnag.action import _simpson, _span_grids
+from vnag.action import _simpson, _span_nodes
 from vnag.cli import main
 
 
@@ -82,7 +82,7 @@ def test_first_variation_vanishes_on_extremal(warm_state):
     for h in (sinusoid(1, 1.0, 10.0), triangle(4.0, 1.5, 1.0, 10.0),
               scale(sinusoid(3, 1.0, 10.0), 2.5)):
         dj = first_variation(spec, curve, h)
-        hv, hd = h._values(curve.t)
+        hv, hd = h.values(curve.t)
         assert abs(dj) <= 1e-5 * (1.0 + np.max(np.abs(hv)) + np.max(np.abs(hd)))
 
 
@@ -198,18 +198,23 @@ def test_second_variation_report_schema(tmp_path):
 # ---------------------------------------------- one pass against the span loop
 
 
+def _span_grids(t1, t2, inner_knots, n_steps):
+    """Each span's own grid, cut from the one array of nodes."""
+    nodes, spans = _span_nodes(t1, t2, inner_knots, n_steps)
+    return [nodes[i0:i1] for i0, i1, _ in spans]
+
+
 def _second_variation_per_span(spec, t1, t2, h, n_steps, base=None):
     """The span-by-span evaluation that second_variation replaced: weight, Q,
     h and h' evaluated anew on each inter-knot span."""
     total = 0.0
     for nodes in _span_grids(t1, t2, h.interior_knots(), n_steps):
-        w = np.asarray(spec.weight(nodes), dtype=float)
+        w = np.asarray(spec.damping.weight(nodes), dtype=float)
         if isinstance(spec.pot, QuadraticDiagonal):
             q = -spec.pot.eigenvalues[h.component] * w
         else:
             q = -spec.pot.second_deriv(base.sample(nodes)[0][:, 0]) * w
-        hv = h.value(nodes)
-        hd = h.deriv(nodes)
+        hv, hd = h.values(nodes)
         with np.errstate(over="ignore", invalid="ignore"):
             integrand = 0.5 * (w * hd * hd + q * hv * hv)
             total += _simpson(integrand, float(nodes[1] - nodes[0]))
@@ -222,9 +227,8 @@ def _first_variation_per_span(spec, curve, h, n_steps):
     total = 0.0
     for nodes in _span_grids(curve.t1, curve.t2, h.interior_knots(), n_steps):
         xs, vs = curve.sample(nodes)
-        w = np.asarray(spec.weight(nodes), dtype=float)
-        hv = h.value(nodes)
-        hd = h.deriv(nodes)
+        w = np.asarray(spec.damping.weight(nodes), dtype=float)
+        hv, hd = h.values(nodes)
         g = spec.pot.grad_rows(xs)[:, comp]
         integrand = w * (vs[:, comp] * hd - g * hv)
         total += _simpson(integrand, float(nodes[1] - nodes[0]))
@@ -280,3 +284,16 @@ def test_one_pass_variations_match_span_loop(case):
     curve = perturb_curve(curve, scale(h, 0.5))
     assert (first_variation(spec, curve, h, n_steps=n_steps)
             == _first_variation_per_span(spec, curve, h, n_steps))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10], ids=["on_grid", "off_grid"])
+def test_knot_must_be_a_grid_time(offset):
+    # the knot splits the quadrature only where it equals a grid time exactly
+    spec = _spec()
+    t = np.concatenate([np.linspace(1.0, 2.0, 33), np.linspace(2.0, 3.0, 33)[1:]])
+    curve = Trajectory(t, np.zeros_like(t), np.ones_like(t), knots=(2.0 + offset,))
+    if offset:
+        with pytest.raises(ValueError, match="knot time missing"):
+            action(spec, curve)
+    else:  # 0.5 int t^3 dt over [1, 3], exact under Simpson
+        assert action(spec, curve) == pytest.approx(10.0, rel=1e-14)

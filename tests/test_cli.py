@@ -577,3 +577,22 @@ def test_cli_fuzz(data, command):
         assert code in (0, 2, 3)
         if code:
             assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("classify", None, "cannot read config"),  # no such file
+    ("classify", "{not json", "cannot read config"),
+    ("second-variation", {**_CLASSIFY, "perturbations": [
+        {"kind": "triangle", "c": [2.0, 3.0], "eps": [0.5, 1.0]}]}, "at most one"),
+    ("second-variation", {**_CLASSIFY, "potential": {"kind": "polynomial", "a": 1.0, "p": 4},
+                          "perturbations": [{"kind": "sinusoid", "k": 1}]},
+     "second-variation needs a quadratic potential"),
+], ids=["missing_file", "bad_json", "two_swept_fields", "polynomial"])
+def test_boundary_rejections_exit_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

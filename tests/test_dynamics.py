@@ -343,3 +343,18 @@ def test_divergence_raises_numerical_error():
         # c/t overflows to inf without a RuntimeWarning
         with pytest.raises(NumericalError):
             integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 1e-320, 1.0, 10)
+
+
+_GRID = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Trajectory(_GRID, np.zeros((4, 1)), np.zeros((5, 1))), "inconsistent"),
+    (lambda: Trajectory([0.0, 1.0, 1.0], np.zeros(3), np.zeros(3)), "strictly increasing"),
+    (lambda: Trajectory(_GRID, np.zeros(5), np.zeros(5)).sample([1.5]), "outside"),
+    (lambda: integrate_gradient_flow(QuadraticDiagonal([1.0, 2.0]), [1.0], 0.0, 1.0, 10),
+     "x0 dimension"),
+], ids=["arrays", "grid", "sample_range", "gradient_flow_x0"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -614,3 +614,21 @@ def test_reports_serialize():
     cls = classify(QuadraticDiagonal([1.0]), Constant(1.0), 0.0, 4.0)
     cd = cls.to_dict()
     assert cd["verdict"] == "saddle" and cd["eigenvalues"] == [1.0]
+
+
+def _outside_window():
+    base = integrate_flow(Polynomial1D(1.0, 4), Vanishing(3.0), [1.0], [0.0], 1.0, 2.0, 100)
+    return conjugate_points_along(base, Polynomial1D(1.0, 4), Vanishing(3.0), 1.0, 3.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: jacobi_closed_vanishing(1.0, 0.0, 2.0), "t1 > 0"),
+    (_outside_window, "window outside"),
+    (lambda: first_conjugate_time(_vspec(), 0.0, 1.0), "eigen_lambda"),
+    (lambda: epsilon_star(-1.0, 1.0), "u >= 0"),
+    (lambda: epsilon_star(1.0, 0.0), "beta > 0"),
+    (lambda: sinusoid_d2j_closed(0.0, 1.0, 0), "k >= 1"),
+], ids=["closed_t1", "along_window", "lambda", "eps_star_u", "eps_star_beta", "sinusoid_k"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vnag import (LagrangianSpec, QuadraticDiagonal, Trajectory, Vanishing, action,
+from vnag import (Constant, LagrangianSpec, Perturbation, QuadraticDiagonal, Trajectory,
+                  Vanishing, action,
                   first_variation, fourier_sine, integrate_flow,
                   perturb_curve, scale, second_variation, sinusoid, triangle,
                   triangle_d2j_closed)
@@ -16,7 +17,7 @@ def test_admissibility_all_kinds():
     probes = [triangle(3.0, 1.0, t1, t2), sinusoid(3, t1, t2),
               fourier_sine(123, 8, 1.2, t1, t2)]
     for h in probes:
-        ends = np.abs(h.value(np.array([t1, t2])))
+        ends = np.abs(h.values(np.array([t1, t2]))[0])
         assert np.all(ends <= 1e-14)
 
 
@@ -24,14 +25,14 @@ def test_triangle_shape():
     h = triangle(2.0, 1.0, 0.5, 3.5)
     delta = 1.0 / 1000.0
     # height one at the apex, up to the blend correction <= delta/eps
-    assert abs(h.value(np.array([2.0]))[0] - 1.0) <= delta / 1.0
+    assert abs(h.values(np.array([2.0]))[0][0] - 1.0) <= delta / 1.0
     # identically zero (value and slope) outside the support
     t_out = np.array([0.5, 0.9, 3.2, 3.5])
-    assert np.all(h.value(t_out) == 0.0)
-    assert np.all(h.deriv(t_out) == 0.0)
+    hv, hd = h.values(t_out)
+    assert np.all(hv == 0.0) and np.all(hd == 0.0)
     # area converges to eps (unit triangle) as delta -> 0
     t = np.linspace(0.5, 3.5, 300001)
-    v = h.value(t)
+    v = h.values(t)[0]
     area = float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(t)))
     assert abs(area - 1.0) <= 1e-4
 
@@ -42,8 +43,9 @@ def test_triangle_is_c1():
     for k in h.knots:
         left = np.array([k - 1e-12])
         right = np.array([k + 1e-12])
-        assert abs((h.value(left) - h.value(right))[0]) <= 1e-9
-        assert abs((h.deriv(left) - h.deriv(right))[0]) <= 1e-6
+        (lv, ld), (rv, rd) = h.values(left), h.values(right)
+        assert abs((lv - rv)[0]) <= 1e-9
+        assert abs((ld - rd)[0]) <= 1e-6
 
 
 def test_triangle_validation():
@@ -55,10 +57,10 @@ def test_triangle_validation():
 
 def test_sinusoid_values():
     h = sinusoid(1, 1.0, 3.0)
-    assert h.value(np.array([2.0]))[0] == pytest.approx(1.0)
+    assert h.values(np.array([2.0]))[0][0] == pytest.approx(1.0)
     h2 = sinusoid(2, 1.0, 3.0)
-    assert h2.value(np.array([2.0]))[0] == pytest.approx(0.0, abs=1e-15)
-    assert np.all(h2.value(np.array([1.0, 3.0])) == 0.0)
+    assert h2.values(np.array([2.0]))[0][0] == pytest.approx(0.0, abs=1e-15)
+    assert np.all(h2.values(np.array([1.0, 3.0]))[0] == 0.0)
     with pytest.raises(ValueError):
         sinusoid(0, 1.0, 3.0)
 
@@ -68,9 +70,9 @@ def test_fourier_determinism():
     b = fourier_sine(7, 6, 1.5, 0.0, 4.0)
     assert a.params == b.params
     t = np.linspace(0.0, 4.0, 100)
-    np.testing.assert_array_equal(a.value(t), b.value(t))
+    np.testing.assert_array_equal(a.values(t)[0], b.values(t)[0])
     c = fourier_sine(8, 6, 1.5, 0.0, 4.0)
-    assert not np.array_equal(a.value(t), c.value(t))
+    assert not np.array_equal(a.values(t)[0], c.values(t)[0])
 
 
 def test_fourier_single_mode_is_sinusoid():
@@ -78,15 +80,15 @@ def test_fourier_single_mode_is_sinusoid():
     coeff = h.params[3][0]
     s = sinusoid(1, 0.0, 2.0)
     t = np.linspace(0.0, 2.0, 64)
-    np.testing.assert_allclose(h.value(t), coeff * s.value(t), atol=1e-15)
+    np.testing.assert_allclose(h.values(t)[0], coeff * s.values(t)[0], atol=1e-15)
 
 
 def test_scale():
     h = sinusoid(1, 0.0, 2.0)
     z = scale(h, 0.0)
     t = np.linspace(0.0, 2.0, 50)
-    assert np.all(z.value(t) == 0.0)
-    for doubled, single in zip(scale(h, 2.0)._values(t), h._values(t)):
+    assert np.all(z.values(t)[0] == 0.0)
+    for doubled, single in zip(scale(h, 2.0).values(t), h.values(t)):
         np.testing.assert_array_equal(doubled, 2.0 * single)
     with pytest.raises(ValueError):
         scale(h, -1.0)
@@ -244,8 +246,32 @@ def test_one_pass_matches_per_call_formulas():
             c, eps, _ = h.params
             marks += [c, c - eps, c + eps]
         t = np.concatenate([_ulp_neighbourhood(marks), np.linspace(t1 - 0.1, t2 + 0.1, 2001)])
-        hv, hd = h._values(t)
-        for got, deriv in ((h.value(t), False), (h.deriv(t), True), (hv, False), (hd, True)):
+        hv, hd = h.values(t)
+        for got, deriv in ((hv, False), (hd, True)):
             want = _old_profile(h, t, deriv)
             assert np.array_equal(got, want), (h.kind, deriv)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_interval_match_is_relative_to_the_window():
+    # a probe on [0, 1e-12] does not live on [1e-12, 2e-12], however tiny the gap
+    spec = LagrangianSpec(Constant(1.0), QuadraticDiagonal([1.0]))
+    for h in (sinusoid(1, 0.0, 1e-12), triangle(0.5e-12, 0.25e-12, 0.0, 1e-12)):
+        with pytest.raises(ValueError, match="interval does not match"):
+            second_variation(spec, 1e-12, 2e-12, h)
+    # probes built from the window's own floats pass, at tiny and at huge times
+    spec = LagrangianSpec(Constant(0.0), QuadraticDiagonal([1.0]))
+    for t1, t2 in ((1e-12, 2e-12), (1e13, 1e13 + 10.0)):
+        c, eps = (t1 + t2) / 2.0, (t2 - t1) / 4.0
+        for h in (sinusoid(1, t1, t2), triangle(c, eps, t1, t2)):
+            assert math.isfinite(second_variation(spec, t1, t2, h))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: fourier_sine(1, 0, 1.0, 0.0, 1.0), "n_modes"),
+    (lambda: fourier_sine(1, 3, 0.0, 0.0, 1.0), "decay"),
+    (lambda: Perturbation("square", 0.0, 1.0), "unknown perturbation kind"),
+], ids=["n_modes", "decay", "kind"])
+def test_probe_arguments_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

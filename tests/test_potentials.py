@@ -76,3 +76,9 @@ def test_immutability():
     pot = QuadraticDiagonal([1.0, 2.0])
     with pytest.raises(ValueError):
         pot.eigenvalues[0] = 5.0
+
+
+@pytest.mark.parametrize("eigenvalues", [[[1.0, 2.0]], [[1.0], [2.0]]], ids=["row", "column"])
+def test_quadratic_rejects_2d_eigenvalues(eigenvalues):
+    with pytest.raises(ValueError, match="1-d"):
+        QuadraticDiagonal(eigenvalues)
