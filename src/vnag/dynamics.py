@@ -154,7 +154,8 @@ class Trajectory:
         """Cubic-Hermite positions (n, d) at times in range, with each time's interval
         i, its width w (n, 1) and the fraction s of it, which `sample` reuses."""
         q = np.atleast_1d(np.asarray(times, dtype=float))
-        if q.min() < self.t[0] - 1e-12 or q.max() > self.t[-1] + 1e-12:
+        tol = 1e-12 * (self.t[-1] - self.t[0])
+        if q.min() < self.t[0] - tol or q.max() > self.t[-1] + tol:
             raise ValueError("sample times outside trajectory range")
         i = np.clip(np.searchsorted(self.t, q, side="right") - 1, 0, len(self.t) - 2)
         w = (self.t[i + 1] - self.t[i])[:, None]

@@ -269,7 +269,8 @@ def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
     """
     _check_interval(damping, t1, t2)
     _check_steps(n_steps, 1000)
-    if t1 < base.t1 - 1e-9 or t2 > base.t2 + 1e-9:
+    tol = 1e-9 * (t2 - t1)
+    if t1 < base.t1 - tol or t2 > base.t2 + tol:
         raise ValueError("window outside the base trajectory")
 
     def curvature(t):  # f''(Y(t)): a column (m, 1) for a column of times, a float for a float

@@ -1,7 +1,7 @@
 """Numbers as output bytes: the one place where vnag prints a number into a
 CSV table (`csv`, printf `%.17g` per cell) or an SVG polyline (`polyline`,
 `%.2f` per coordinate), byte for byte what Python's `%` prints.  Both yield
-bytes chunks that `cli.Writer.write` streams to the file as they come.
+bytes chunks that `cli._write` streams to the file as they come.
 
 Python prints each double through correctly rounded dtoa, one value at a
 time.  Here a whole column is scaled by a double-double power of ten with

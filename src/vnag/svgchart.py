@@ -45,7 +45,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
 def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = "",
                width: int = 720, height: int = 440, markers: list | None = None):
     """Render polyline series as an SVG, yielded as bytes chunks for
-    `cli.Writer.write`.
+    `cli._write`.
 
     series: list of (label, xs, ys) triples; xs and ys are arrays or
         sequences of numbers, taken as float64.

@@ -1,8 +1,10 @@
 """The public surface: `vnag.__all__` is exactly this list, each name binds
 under `from vnag import *`, and each function and class says what it is.
-A numpy deprecation met inside vnag fails the suite."""
+A numpy deprecation met inside vnag fails the suite, and the source stays
+within its line budget."""
 import inspect
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,11 @@ def test_deprecations_in_vnag_are_errors():
             warnings.warn_explicit("deliberate", category, "dynamics.py", 1, module="vnag.dynamics")
         with pytest.warns(category):
             warnings.warn_explicit("deliberate", category, "other.py", 1, module="other")
+
+
+def test_line_budget():
+    # the caps of ROADMAP.md: items 7 (all of src/vnag) and 9 (cli.py, a thin shell)
+    lines = {p.name: len(p.read_text().splitlines())
+             for p in Path(vnag.__file__).parent.glob("*.py")}
+    assert sum(lines.values()) <= 2757
+    assert lines["cli.py"] <= 350

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag import cli
+from vnag import experiments
 from vnag.cli import _CONFIG, _config, _expand_perturbation, load_config, main
 from vnag.errors import NumericalError
 from vnag.svgchart import line_chart
@@ -462,27 +462,47 @@ def test_unwritable_out_exits_2(tmp_path, capsys, out):
     assert (tmp_path / "taken").read_text() == "x"
 
 
-def _broken_chart(writer):
-    writer.csv("table.csv", ["x"], [np.arange(3.0)])
-    writer.write("chart.svg", line_chart([("a", [0.0, 1.0, 2.0], [0.0, 1.0])]))
+def _broken_chart():
+    return {"results": {}, "notes": []}, [
+        ("table.csv", ["x"], [np.arange(3.0)]),
+        ("chart.svg", line_chart([("a", [0.0, 1.0, 2.0], [0.0, 1.0])]))]
 
 
-def _broken_stream(writer):
+def _broken_stream():
     def chunks():
         yield b"<svg>"
         raise NumericalError("stream failed part way")
-    writer.write("chart.svg", chunks())
+    return {"results": {}, "notes": []}, [("chart.svg", chunks())]
 
 
 @pytest.mark.parametrize("builder, code", [(_broken_chart, 2), (_broken_stream, 3)],
                          ids=["chart_value_error", "numerical_error"])
 def test_stream_failing_part_way_leaves_no_file(tmp_path, monkeypatch, builder, code):
-    # a chart streams into Writer.write, so its errors surface with the file
-    # already open; the run keeps its exit code and removes every file
-    monkeypatch.setitem(cli._FIGURES, "fig1", builder)
+    # a chart streams as its file is written, so its errors surface with the
+    # file already open; the run keeps its exit code and removes every file
+    monkeypatch.setitem(experiments.FIGURES, "fig1", builder)
     out = tmp_path / "out"
     assert main(["reproduce", "--figure", "fig1", "--out", str(out)]) == code
     assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def _nan_result():
+    return {"results": {"value": math.nan}, "notes": []}, [("table.csv", ["x"], [np.arange(3.0)])]
+
+
+def _raises_numerical():
+    raise NumericalError("failed before any output")
+
+
+@pytest.mark.parametrize("builder", [_nan_result, _raises_numerical],
+                         ids=["nan_result", "numerical_error"])
+def test_failed_run_creates_no_out(tmp_path, monkeypatch, builder):
+    # report.json is encoded before any file is written, so a run that fails
+    # in its experiment or its report does not create --out
+    monkeypatch.setitem(experiments.FIGURES, "fig1", builder)
+    out = tmp_path / "out"
+    assert main(["reproduce", "--figure", "fig1", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_import_leaves_numtext_unloaded():

@@ -10,7 +10,8 @@ from vnag import (BregmanParams, Constant, NumericalError, Polynomial1D,
                   integrate_flow, integrate_gradient_flow,
                   nesterov_recovering_params)
 from vnag import dynamics
-from vnag.cli import Writer, _trajectory_csv
+from vnag.experiments import trajectory_table
+from vnag.numtext import csv
 
 
 def test_critical_damping_closed_form():
@@ -194,10 +195,11 @@ def test_preconditions():
             Vanishing(c)
 
 
-def test_csv_roundtrip(tmp_path):
+def test_csv_roundtrip():
     pot = QuadraticDiagonal([1.0, 2.0])
     traj = integrate_flow(pot, Constant(1.0), [1.0, -1.0], [0.0, 0.5], 0.0, 1.0, 10)
-    text = open(_trajectory_csv(Writer(str(tmp_path)), "traj.csv", traj)).read()
+    _, header, columns = trajectory_table("traj.csv", traj)
+    text = b"".join(csv(header, columns)).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "t,x_0,x_1,v_0,v_1"
     assert len(lines) == 12

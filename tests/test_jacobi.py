@@ -13,7 +13,7 @@ from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   epsilon_star, first_conjugate_time, integrate_flow,
                   jacobi_closed_vanishing, saddle_witness, second_variation,
                   sinusoid_d2j_closed, triangle, triangle_d2j_closed)
-from vnag import (NumericalError, dynamics, first_variation, fourier_sine,
+from vnag import (NumericalError, Trajectory, dynamics, first_variation, fourier_sine,
                   integrate_gradient_flow, jacobi, jacobi_solution, sinusoid)
 from vnag.jacobi import _zeros_from_grid
 
@@ -630,5 +630,27 @@ def _outside_window():
     (lambda: sinusoid_d2j_closed(0.0, 1.0, 0), "k >= 1"),
 ], ids=["closed_t1", "along_window", "lambda", "eps_star_u", "eps_star_beta", "sinusoid_k"])
 def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _sample_past_tiny_curve():
+    curve = Trajectory(np.array([0.0, 1e-14]), np.array([[1.0], [2.0]]), np.zeros((2, 1)))
+    return curve.sample([5e-13])
+
+
+def _window_past_tiny_base():
+    quartic = Polynomial1D(1.0, 4)
+    base = integrate_flow(quartic, Constant(1.0), [1.0], [0.0], 0.0, 1e-12, 100)
+    return conjugate_points_along(base, quartic, Constant(1.0), 0.0, 1e-10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_sample_past_tiny_curve, "outside trajectory range"),
+    (_window_past_tiny_base, "window outside"),
+], ids=["sample_times", "along_window"])
+def test_range_checks_scale_with_the_span(call, message):
+    # a time 50 spans past a curve, or a window 100 times the base, is
+    # outside it however short the curve is
     with pytest.raises(ValueError, match=message):
         call()

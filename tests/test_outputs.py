@@ -1,6 +1,6 @@
 """The CSV and SVG number formats, pinned against per-value formatters.
 
-`numtext.csv` (the CSV bytes that `Writer.csv` streams to a file) and
+`numtext.csv` (the CSV bytes that `cli` streams to a file) and
 `svgchart.line_chart` render whole tables and polylines through `numtext`,
 which prints the same formats with float64 arithmetic and leaves to printf,
 one cell at a time, each value whose rounding it cannot prove.  The
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnag.cli import Writer, _trajectory_csv
 from vnag.dynamics import Trajectory
+from vnag.experiments import trajectory_table
 from vnag.numtext import csv, g17_cells
 from vnag.svgchart import _ticks, line_chart
 
@@ -156,15 +156,15 @@ def test_csv_any_float(cells):
     assert _csv_text(header, [a, b, k]) == _ref_csv(cells, header)
 
 
-def test_trajectory_csv(tmp_path):
+def test_trajectory_csv():
     n = len(_EXTREMES)
     x = np.array([_EXTREMES, _EXTREMES[::-1]]).T
     v = np.array([_EXTREMES[3:] + _EXTREMES[:3], [-e for e in _EXTREMES]]).T
     traj = Trajectory(np.linspace(0.1, 1.3, n), x, v)
     one = Trajectory(np.array([0.0, 1e-300]), np.array([-0.0, 5e-324]), np.array([1.0, 2.0]))
-    for name, tr in (("extremes.csv", traj), ("one.csv", one)):
-        path = _trajectory_csv(Writer(str(tmp_path)), name, tr)
-        assert open(path, newline="").read() == _ref_to_csv(tr)
+    for tr in (traj, one):
+        _, header, columns = trajectory_table("traj.csv", tr)
+        assert _csv_text(header, columns) == _ref_to_csv(tr)
 
 
 def _series_cases():
