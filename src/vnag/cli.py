@@ -319,10 +319,9 @@ def _parser() -> argparse.ArgumentParser:
         description="accelerated-flow action analysis: simulate flows, evaluate "
                     "second variations, locate conjugate points, classify paths")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("simulate", True), ("second-variation", True),
-                               ("classify", True), ("reproduce", False)):
+    for name in [*_COMMANDS, "reproduce"]:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config,
+        p.add_argument("--config", required=name != "reproduce",
                        help="JSON experiment configuration")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,

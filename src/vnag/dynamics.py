@@ -80,10 +80,9 @@ class Constant:
         return 1.0
 
     def weight(self, t):
-        """Lagrangian time weight exp(alpha * t); an array overflows to inf."""
+        """Lagrangian time weight exp(alpha * t); it may overflow to inf."""
         with np.errstate(over="ignore"):
-            return np.exp(self.alpha * np.asarray(t, dtype=float)) if not np.isscalar(t) \
-                else math.exp(self.alpha * t)
+            return np.exp(self.alpha * np.asarray(t, dtype=float))
 
     def descriptor(self) -> dict:
         return {"kind": "constant", "alpha": self.alpha}
@@ -421,8 +420,8 @@ class IdealScalingReport:
     max_violation: float
 
 
-def check_ideal_scaling(params: BregmanParams, t_grid, tol: float = 1e-9) -> IdealScalingReport:
-    """Sample b'(t) <= e^a(t) and g'(t) = e^a(t) on the grid.
+def check_ideal_scaling(params: BregmanParams, t_grid) -> IdealScalingReport:
+    """Sample b'(t) <= e^a(t) and g'(t) = e^a(t) on the grid, to 1e-9.
 
     These ideal-scaling conditions define the Bregman-Lagrangian family
     whose stationary paths the library classifies; no command calls this,
@@ -432,7 +431,7 @@ def check_ideal_scaling(params: BregmanParams, t_grid, tol: float = 1e-9) -> Ide
     for t in np.asarray(t_grid, dtype=float):
         ea = math.exp(params.alpha.value(t))
         worst = max(worst, params.beta.deriv(t) - ea, abs(params.gamma.deriv(t) - ea))
-    return IdealScalingReport(holds=bool(worst <= tol), max_violation=float(max(worst, 0.0)))
+    return IdealScalingReport(holds=bool(worst <= 1e-9), max_violation=float(max(worst, 0.0)))
 
 
 def el_residual(traj: Trajectory, pot: Potential,

@@ -5,11 +5,11 @@ the weighted action is
 
     h'' + d(t) h' + lam h = 0,       d(t) = c/t  or  alpha,
 
-which is solved both in closed form (Bessel functions for c = 3 vanishing
-damping; damped exponentials/sinusoids for constant damping) and by shooting
-with the chunked RK4 transfer-matrix scan.  A curve is a local minimizer of
-the action iff no interior time is conjugate to t1; the earliest conjugate
-time over the eigendirections decides the verdict.
+which is solved both in closed form (for c = 3 vanishing damping, the field
+with h(t1) = 0, h'(t1) = 1 as a Bessel cross product, valid for every t1 > 0)
+and by shooting with the chunked RK4 transfer-matrix scan.  A curve is a
+local minimizer of the action iff no interior time is conjugate to t1; the
+earliest conjugate time over the eigendirections decides the verdict.
 """
 from __future__ import annotations
 
@@ -77,30 +77,33 @@ class Classification:
 # closed-form Jacobi solutions
 
 
+def _cross_product(s1: float):
+    """w(s) = J1(s1) Y1(s) - Y1(s1) J1(s), zero at s1: with s = sqrt(beta) t,
+    w(s) / t solves the Jacobi equation for damping 3/t and curvature beta,
+    also where J1(s1) vanishes.  NumericalError where Y1(s1) overflows."""
+    j1_s1, y1_s1 = _j1_y1(s1)
+
+    def w(s):
+        j1, y1 = _j1_y1(s)
+        return j1_s1 * y1 - y1_s1 * j1
+
+    return w
+
+
 def jacobi_closed_vanishing(beta: float, t1: float, t: float) -> float:
-    """Jacobi solution vanishing at t1 for damping 3/t and curvature beta:
+    """Jacobi solution with h(t1) = 0, h'(t1) = 1 for damping 3/t and
+    curvature beta, the field `jacobi_solution` marches, for every t1 > 0:
 
-        h(t) = Y1(s)/t - (Y1(s1)/J1(s1)) J1(s)/t,   s = sqrt(beta) t.
+        h(t) = (pi t1^2 / 2) w(sqrt(beta) t) / t,   w = _cross_product(sqrt(beta) t1).
 
-    Degenerates (ValueError; use shooting) when s1 = sqrt(beta) t1 lies
-    within four ulps of a zero of J1.  The distance to that zero is
-    |J1(s1) / J1'(s1)|, and near it the Wronskian J1 Y1' - J1' Y1 = 2/(pi s)
-    (DLMF 10.5.2) gives J1' = -2 / (pi s1 Y1(s1)); as s1 -> 0+ the same
-    expression tends to s1/2, which is never within ulps of s1.  Where
-    Y1(s1)/J1(s1) overflows (s1 below about 8e-155), NumericalError.
+    The Wronskian J1 Y1' - J1' Y1 = 2/(pi s) (DLMF 10.5.2) gives w'(s1) =
+    2/(pi s1), hence h'(t1) = 1.  t1 multiplies w first: w grows like 1/t1
+    (through Y1(s1)), while t1 t1 alone underflows below t1 ~ 1e-154.
     """
     if t1 <= 0:
         raise ValueError("need t1 > 0")
     rb = math.sqrt(beta)
-    s1 = rb * t1
-    j1_s1, y1_s1 = _j1_y1(s1)
-    if abs(j1_s1 * y1_s1) * (0.5 * math.pi * s1) <= 4.0 * math.ulp(s1):
-        raise ValueError("closed form degenerates (J1(sqrt(beta) t1) ~ 0); use shooting")
-    k = y1_s1 / j1_s1
-    if math.isinf(k):
-        raise NumericalError(f"Y1/J1 overflows at sqrt(beta) t1 = {s1!r}")
-    j1, y1 = _j1_y1(rb * t)
-    return y1 / t - k * j1 / t
+    return 0.5 * math.pi * t1 * (t1 * _cross_product(rb * t1)(rb * t)) / t
 
 
 # --------------------------------------------------------------------------
@@ -145,19 +148,11 @@ def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
 
 def _cross_product_roots(beta: float, t1: float, t_max: float,
                          max_roots: int | None = None) -> list:
-    """Roots t in (t1, t_max] of J1(s1) Y1(s) = Y1(s1) J1(s), s = sqrt(beta) t.
-
-    These are exactly the zeros of the closed-form Jacobi solution, in a
-    division-free form that stays valid when J1(s1) itself vanishes.
-    """
+    """Roots t in (t1, t_max] of the cross product w(sqrt(beta) t): the
+    zeros of `jacobi_closed_vanishing`."""
     rb = math.sqrt(beta)
     s1 = rb * t1
-    j1_s1, y1_s1 = _j1_y1(s1)
-
-    def w(s):
-        j1, y1 = _j1_y1(s)
-        return j1_s1 * y1 - y1_s1 * j1
-
+    w = _cross_product(s1)
     # Sturm comparison (u = s^{3/2} h solves u'' + (1 - 3/(4 s^2)) u = 0)
     # bounds consecutive zeros at least ~pi apart in s; pi/8 cannot skip one.
     ds = math.pi / 8.0
@@ -329,25 +324,17 @@ def classify(pot: QuadraticDiagonal, damping, t1: float, t2: float) -> Classific
     _check_interval(damping, t1, t2)
     spec = LagrangianSpec(damping, pot)
     taus = [first_conjugate_time(spec, lam, t1, t_max=t2) for lam in pot.eigenvalues]
-    inside = [(tau, lam) for tau, lam in zip(taus, pot.eigenvalues)
-              if tau is not None and tau < t2 - 1e-9]
-    boundary = [(tau, lam) for tau, lam in zip(taus, pot.eigenvalues)
-                if tau is not None and abs(tau - t2) <= 1e-9]
-    if inside:
-        tau, lam = min(inside)
-        verdict, binding = "saddle", float(lam)
-    elif boundary:
-        tau, lam = min(boundary)
-        verdict, binding = "at_boundary", float(lam)
-    else:
-        verdict, binding = "minimizer", None
+    # the earliest tau up to the band |tau - t2| <= 1e-9 decides: inside the
+    # band at_boundary, below it saddle
+    tau, lam = min(((tau, lam) for tau, lam in zip(taus, pot.eigenvalues)
+                    if tau is not None and tau <= t2 + 1e-9), default=(None, None))
     return Classification(
-        verdict=verdict,
+        verdict="minimizer" if tau is None else "saddle" if tau < t2 - 1e-9 else "at_boundary",
         t1=t1,
         t2=t2,
         eigenvalues=tuple(float(v) for v in pot.eigenvalues),
         first_conjugate_times=tuple(taus),
-        binding_eigenvalue=binding,
+        binding_eigenvalue=None if lam is None else float(lam),
     )
 
 
@@ -407,8 +394,7 @@ def sinusoid_d2j_closed(t1: float, t2: float, k: int, sigma: float = 1.0) -> flo
     return sigma * sigma * num / (2.0 * span * span * (4.0 * kk + span * span))
 
 
-def saddle_witness(beta: float, t1: float, t2: float,
-                   n_steps: int = 4096) -> dict | None:
+def saddle_witness(beta: float, t1: float, t2: float) -> dict | None:
     """Explicit indefiniteness certificate for vanishing damping 3/t.
 
     Returns two centered triangle probes with second variations of opposite
@@ -433,7 +419,7 @@ def saddle_witness(beta: float, t1: float, t2: float,
         h = triangle(c, eps, t1, t2, delta=min(eps / 1000.0, 0.5 * (eps_max - eps)))
         out[label] = {
             "perturbation": h.descriptor(),
-            "d2j_quadrature": second_variation(spec, t1, t2, h, n_steps=n_steps),
+            "d2j_quadrature": second_variation(spec, t1, t2, h),
             "d2j_closed_form": triangle_d2j_closed(beta, c, eps),
         }
     out["epsilon_star"] = star

@@ -43,7 +43,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
 
 
 def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = "",
-               width: int = 720, height: int = 440, markers: list | None = None):
+               markers: list | None = None):
     """Render polyline series as an SVG, yielded as bytes chunks for
     `cli._write`.
 
@@ -56,6 +56,7 @@ def line_chart(series: list, title: str = "", xlabel: str = "", ylabel: str = ""
     `px`/`py`, so every coordinate is the double the scalar form gives.
     """
     from .numtext import polyline  # loaded with the first chart, not with vnag
+    width, height = 720, 440
     pad_l, pad_r, pad_t, pad_b = 62, 16, 34, 46
     series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for label, xs, ys in series]

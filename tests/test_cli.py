@@ -215,7 +215,7 @@ def test_non_finite_report_exit_code(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["second-variation", "--config", cfg, "--out", str(out)]) == 3
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_non_finite_sweep_exit_code(tmp_path):
@@ -228,7 +228,7 @@ def test_non_finite_sweep_exit_code(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["second-variation", "--config", cfg, "--out", str(out)]) == 3
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 _CLASSIFY = {"potential": {"kind": "quadratic", "eigenvalues": [1.0]},

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -75,36 +76,36 @@ def test_closed_vanishing_zeros_match_cross_product():
     assert abs(jacobi_closed_vanishing(beta, t1, mid)) > 1e-3
 
 
-def test_closed_vanishing_degenerate_start():
-    # J1(sqrt(beta) t1) = 0 breaks the closed form; shooting still works
-    j11 = 3.8317059702075123  # first positive zero of J1
-    with pytest.raises(ValueError):
-        jacobi_closed_vanishing(1.0, j11, 5.0)
-    rep = conjugate_points_shooting(_vspec(1.0), 1.0, j11, 12.0, n_steps=8000)
-    assert len(rep.conjugate_times) >= 1
+_J11 = 3.8317059702075125  # the double nearest the first zero of J1
 
 
-def test_closed_vanishing_tiny_start():
-    # J1 has no zero near 0+: as s1 -> 0, Y1(s1)/J1(s1) -> -4/(pi s1^2), so
-    # h(t) tends to Y1(s)/t + 4/(pi s1^2) J1(s)/t, whose second term dominates
-    s1, t = 1e-150, 2.0
-    limit = 4.0 / (math.pi * s1 * s1) * float(mp.besselj(1, t)) / t
-    h = jacobi_closed_vanishing(1.0, s1, t)
-    assert math.isfinite(h)
-    assert abs(h - limit) <= 1e-14 * abs(limit)
-    # the ratio overflows below s1 ~ 8e-155
-    with pytest.raises(NumericalError):
-        jacobi_closed_vanishing(1.0, 1e-160, t)
-
-
-def test_closed_vanishing_degenerate_within_ulps():
-    # the double nearest the first zero of J1, and its neighbours one ulp
-    # away, are degenerate; a start 50 ulps away is not
-    j11 = 3.8317059702075125
-    for s1 in (j11, math.nextafter(j11, 0.0), math.nextafter(j11, 4.0)):
-        with pytest.raises(ValueError):
-            jacobi_closed_vanishing(1.0, s1, 5.0)
-    assert math.isfinite(jacobi_closed_vanishing(1.0, j11 + 50 * math.ulp(j11), 5.0))
+@pytest.mark.parametrize("beta, t1", [
+    (1.0, 1.0), (4.0, 0.7), (0.3, 2.5), (1.0, _J11), (1.0, 1e-300), (1.0, 2.3e-308),
+    (1.0, 1e-310),
+], ids=["unit", "beta_4", "beta_0.3", "j1_zero", "tiny", "least_normal", "subnormal"])
+def test_closed_vanishing_is_the_unit_slope_field(beta, t1):
+    # h(t1) = 0, h'(t1) = 1 from every t1 > 0, a zero of J1 included
+    if t1 < sys.float_info.min:  # Y1(s1) overflows float64
+        with pytest.raises(NumericalError):
+            jacobi_closed_vanishing(beta, t1, 2.0)
+        return
+    with mp.workdps(50):
+        s1 = mp.sqrt(beta) * mp.mpf(t1)
+        for t in (t1 + 0.5, t1 + 2.0, t1 + 7.3):
+            s = mp.sqrt(beta) * mp.mpf(t)
+            w = mp.besselj(1, s1) * mp.bessely(1, s) - mp.bessely(1, s1) * mp.besselj(1, s)
+            ref = mp.pi * mp.mpf(t1) ** 2 / 2 * w / mp.mpf(t)
+            assert abs(jacobi_closed_vanishing(beta, t1, t) - ref) <= 1e-12 * abs(ref)
+    if t1 < 0.5:  # the march cannot start next to the singular damping at t = 0
+        return
+    ts, hs, _ = jacobi_solution(_vspec(beta), beta, t1, t1 + 10.0, 40000)
+    ts, hs = ts[::40], hs[::40]
+    closed = np.array([jacobi_closed_vanishing(beta, t1, t) for t in ts])
+    assert np.max(np.abs(closed - hs)) <= 1e-10 * np.max(np.abs(hs))
+    # shooting from the same start finds the closed form's zeros
+    taus = conjugate_points_shooting(_vspec(beta), beta, t1, t1 + 10.0).conjugate_times
+    assert taus
+    assert max(abs(jacobi_closed_vanishing(beta, t1, tau)) for tau in taus) <= 1e-9
 
 
 def test_closed_constant_critical_has_no_zero():
@@ -402,6 +403,30 @@ def test_classify_at_boundary():
     tau = 2.0 * math.pi / math.sqrt(3.0)
     cls = classify(QuadraticDiagonal([1.0]), Constant(1.0), 0.0, tau)
     assert cls.verdict == "at_boundary"
+
+
+_TAU = 2.0 * math.pi / math.sqrt(3.0)  # alpha = 1, lam = 1; lam = 0.5 gives 2 pi
+
+
+@pytest.mark.parametrize("t2, verdict, binding", [
+    (_TAU - 2e-9, "minimizer", None),
+    (_TAU - 0.5e-9, "at_boundary", 1.0),
+    (_TAU + 0.5e-9, "at_boundary", 1.0),
+    (_TAU + 2e-9, "saddle", 1.0),
+    # tau lies 1.00000008e-9 below t2 but not below the rounded t2 - 1e-9:
+    # in the band, whatever the rounding, and never a minimizer
+    (3.6275987294684358, "at_boundary", 1.0),
+    # the earlier tau of lam = 1 binds whatever lam = 0.5's tau does at t2
+    (2.0 * math.pi - 2e-9, "saddle", 1.0),
+    (2.0 * math.pi - 0.5e-9, "saddle", 1.0),
+    (2.0 * math.pi + 0.5e-9, "saddle", 1.0),
+    (2.0 * math.pi + 2e-9, "saddle", 1.0),
+])
+def test_classify_boundary_band(t2, verdict, binding):
+    # constant damping alpha = 1 on [0, t2]: tau = 2 pi / sqrt(4 lam - 1);
+    # the band is |tau - t2| <= 1e-9
+    cls = classify(QuadraticDiagonal([1.0, 0.5]), Constant(1.0), 0.0, t2)
+    assert (cls.verdict, cls.binding_eigenvalue) == (verdict, binding)
 
 
 def test_classify_vanishing_threshold():
