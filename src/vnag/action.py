@@ -4,13 +4,12 @@ The Lagrangian family is w(t) * (0.5 |Y'|^2 - f(Y)) with time weight
 w(t) = t^c (vanishing damping c/t) or exp(alpha t) (constant damping).
 Quadrature is composite Simpson, split at the knot times of piecewise
 perturbations so every smooth piece is integrated at full fourth order.
-Every integral evaluates its integrand once over the nodes of all spans
-(`action` over the curve's grid, the variations over fresh span grids)
-and sums each span's Simpson integral over its slice (`_span_simpson`).
+Every integral evaluates its integrand once over the nodes of all spans (`action`
+over the curve's grid, the variations over span grids one pass builds, as np.linspace
+would) and sums each span's Simpson integral over its slice (`_span_simpson`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +77,19 @@ def _span_nodes(t1: float, t2: float, inner_knots, n_steps: int):
     carry the sharpest derivatives, so skimping there costs real accuracy.
     """
     bounds = [t1, *sorted(k for k in inner_knots if t1 < k < t2), t2]
-    grids, spans = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n = max(32, 2 * math.ceil(n_steps * (b - a) / (t2 - t1) / 2.0))
-        grids.append(np.linspace(a, b, n + 1))
-        start = spans[-1][1] if spans else 0
-        spans.append((start, start + n + 1, float(grids[-1][1] - grids[-1][0])))
-    return np.concatenate(grids), spans
+    delta = np.diff(bounds)
+    n = np.maximum(32, 2 * np.ceil(n_steps * delta / (t2 - t1) / 2.0).astype(int))
+    # np.linspace(a, b, n + 1) for every span at once: i step + a, the last node b;
+    # a step that underflows to 0 takes numpy's branch, (i / n) (b - a)
+    stop = np.cumsum(n + 1)
+    i, step = np.arange(stop[-1]) - np.repeat(stop - n - 1, n + 1), delta / n
+    if (zero := step == 0.0).any():
+        i = np.where(np.repeat(zero, n + 1), i / np.repeat(n, n + 1), i)
+        step = np.where(zero, delta, step)
+    nodes = i * np.repeat(step, n + 1) + np.repeat(bounds[:-1], n + 1)
+    nodes[stop - 1] = bounds[1:]
+    return nodes, [(s - k - 1, s, float(nodes[s - k] - nodes[s - k - 1]))
+                   for k, s in zip(n.tolist(), stop.tolist())]
 
 
 def _probe_nodes(spec: LagrangianSpec, t1: float, t2: float, h, n_steps: int):
@@ -92,10 +97,10 @@ def _probe_nodes(spec: LagrangianSpec, t1: float, t2: float, h, n_steps: int):
     the span nodes and spans, the weight w and (h, h') at the nodes."""
     _check_interval(spec.damping, t1, t2)
     _check_steps(n_steps, 1)
-    _check_admissible(h, t1, t2, spec.pot.dim)
     nodes, spans = _span_nodes(t1, t2, h.interior_knots(), n_steps)
-    w = np.asarray(spec.damping.weight(nodes), dtype=float)
-    return nodes, spans, w, *h.values(nodes)
+    hv, hd = h.values(nodes)
+    _check_admissible(h, t1, t2, spec.pot.dim, hv)
+    return nodes, spans, np.asarray(spec.damping.weight(nodes), dtype=float), hv, hd
 
 
 def first_variation(spec: LagrangianSpec, curve: Trajectory, h,

@@ -32,6 +32,7 @@ branch.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import NumericalError
@@ -44,6 +45,9 @@ _ANCHORS = range(5, 21)  # integer Taylor anchors covering [4.5, 20)
 _TERMS = 20  # Taylor terms kept per anchor (|h| <= 0.5)
 _STEP_TERMS = 30  # Taylor terms of one unit step while building the anchors
 _MU = 4.0  # 4 * nu^2 for nu = 1
+# g_k = digamma(k+1) + digamma(k+2) = H_k + H_{k+1} - 2 gamma, summed once in the series' order
+_G = list(itertools.accumulate([1 - 2 * _EULER_GAMMA] + [1 / k + 1 / (k + 1) for k in range(1, 40)]))
+_SERIES_TABLE = tuple((float(k * (k + 1)), _G[k]) for k in range(1, 40))
 
 
 def _series(x: float) -> tuple[float, float]:
@@ -56,14 +60,13 @@ def _series(x: float) -> tuple[float, float]:
     half = 0.5 * x
     q = -half * half
     term = half  # (-1)^k (x/2)^(2k+1) / (k! (k+1)!)
-    g = 1.0 - 2.0 * _EULER_GAMMA  # digamma(k+1) + digamma(k+2) = H_k + H_{k+1} - 2 gamma
-    j, s = term, term * g
-    for k in range(1, 40):
-        term *= q / (k * (k + 1))
-        g += 1.0 / k + 1.0 / (k + 1)
+    j, s = term, term * _G[0]
+    lim = 1e-17 * half
+    for kk, g in _SERIES_TABLE:
+        term *= q / kk
         j += term
         s += term * g
-        if abs(term) < 1e-17 * half:
+        if -lim < term < lim:
             break
     return j, (2.0 * math.log(half) * j - 2.0 / x - s) / math.pi
 
@@ -95,11 +98,9 @@ def _build_anchors() -> tuple[tuple, tuple]:
     half = 0.5 * x
     q = -half * half
     term = half
-    g = 1.0 - 2.0 * _EULER_GAMMA
-    dj, ds = term, term * g
-    for k in range(1, 40):
-        term *= q / (k * (k + 1))
-        g += 1.0 / k + 1.0 / (k + 1)
+    dj, ds = term, term * _G[0]
+    for k, (kk, g) in enumerate(_SERIES_TABLE, start=1):
+        term *= q / kk
         dj += (2 * k + 1) * term
         ds += (2 * k + 1) * term * g
         if abs(term) < 1e-17 * half:

@@ -201,9 +201,12 @@ def _linear_chunks(dampf, qfn, y0, u0, t1: float, h: float, n_steps: int):
     m = _CHUNK // k steps from step i0 on, y and y' (m, k) at the step ends.  Step
     maps fill one (2, 2, m, k) buffer; a Hillis-Steele scan makes it the running
     products in place, each pass two broadcast multiplies into product buffers and
-    one add.  The three buffers hold 96 max(_CHUNK, k) bytes."""
+    one add.  The three buffers (96 max(_CHUNK, k) bytes) start on a 64-byte boundary,
+    so their speed does not depend on where the allocator put them."""
     m = max(1, _CHUNK // y0.size)
-    buf, prod0, prod1 = np.empty((3, 2, 2, m, y0.size))
+    raw = np.empty(12 * m * y0.size + 8)
+    skip = -raw.__array_interface__["data"][0] % 64 // 8
+    buf, prod0, prod1 = raw[skip:skip + 12 * m * y0.size].reshape(3, 2, 2, m, y0.size)
     y, u = y0, u0
     for i0 in range(0, n_steps, m):
         n = min(m, n_steps - i0)

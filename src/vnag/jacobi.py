@@ -170,8 +170,8 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
             roots.append(s_a / rb)
         elif w_a * w_b < 0.0:
             roots.append(_refine(w, s_a, s_b, w_a, w_b) / rb)
-            if max_roots is not None and len(roots) >= max_roots:
-                return roots
+        if max_roots is not None and len(roots) >= max_roots:
+            return roots
         s_a, w_a = s_b, w_b
         s = s_b
     return roots

@@ -61,39 +61,40 @@ class Perturbation:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
 
     def values(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(h(t), h'(t)) from one pass over t."""
+        """(h(t), h'(t)) from one pass over t; a triangle fills sorted t by slices."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        hv, hd = _KINDS[self.kind][0](self, t)
-        return self.sigma * hv, self.sigma * hd
+        hv, hd = _KINDS[self.kind][0](self, t.ravel())
+        return self.sigma * hv.reshape(t.shape), self.sigma * hd.reshape(t.shape)
 
     def _triangle(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, eps, delta = self.params
-        hv, hd = np.zeros_like(t), np.zeros_like(t)
+        unsorted = not np.all(t[:-1] <= t[1:])
+        order = np.argsort(t, kind="stable") if unsorted else slice(None)
+        ts = t[order]
+        hv, hd = np.zeros_like(ts), np.zeros_like(ts)
         inv = 1.0 / eps
         # straight pieces are closed intervals and blend windows open, so a
-        # knot belongs to the straight piece beside it
-        rise = (t >= c - eps + delta) & (t <= c - delta)
-        fall = (t >= c + delta) & (t <= c + eps - delta)
+        # knot belongs to the straight piece beside it: the sorted times are cut
+        # after a knot where a window opens (side "right"), before one where it closes
+        right = np.searchsorted(ts, (c - eps - delta, c - delta, c + eps - delta), "right")
+        left = np.searchsorted(ts, (c - eps + delta, c + delta, c + eps + delta), "left")
+        up, ap, dn = map(slice, right, left)
+        rise, fall = map(slice, left[:2], right[1:])
         hd[rise] = inv
         hd[fall] = -inv
-        hv[rise] = (t[rise] - (c - eps)) * inv
-        hv[fall] = (c + eps - t[fall]) * inv
-        up = (t > c - eps - delta) & (t < c - eps + delta)
-        ap = (t > c - delta) & (t < c + delta)
-        dn = (t > c + eps - delta) & (t < c + eps + delta)
-        if np.any(up):
-            u = (t[up] - (c - eps)) / delta
-            hd[up] = _g_up(u) * inv
-            hv[up] = (delta * inv) * _big_g_up(u)
-        if np.any(ap):
-            u = (t[ap] - c) / delta
-            hd[ap] = _g_apex(u) * inv
-            hv[ap] = 1.0 - delta * inv + (delta * inv) * _big_g_apex(u)
-        if np.any(dn):
-            u = (t[dn] - (c + eps)) / delta
-            hd[dn] = -_g_up(-u) * inv
-            hv[dn] = (delta * inv) * _big_g_up(-u)
-        return hv, hd
+        hv[rise] = (ts[rise] - (c - eps)) * inv
+        hv[fall] = (c + eps - ts[fall]) * inv
+        u = (ts[up] - (c - eps)) / delta
+        hd[up] = _g_up(u) * inv
+        hv[up] = (delta * inv) * _big_g_up(u)
+        u = (ts[ap] - c) / delta
+        hd[ap] = _g_apex(u) * inv
+        hv[ap] = 1.0 - delta * inv + (delta * inv) * _big_g_apex(u)
+        u = (ts[dn] - (c + eps)) / delta
+        hd[dn] = -_g_up(-u) * inv
+        hv[dn] = (delta * inv) * _big_g_up(-u)
+        back = np.argsort(order) if unsorted else order  # to the caller's order
+        return hv[back], hd[back]
 
     def _sinusoid(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (k,) = self.params
@@ -195,16 +196,16 @@ def scale(h: Perturbation, sigma: float) -> Perturbation:
     return dataclasses.replace(h, sigma=h.sigma * sigma)
 
 
-def _check_admissible(h: Perturbation, t1: float, t2: float, dim: int):
+def _check_admissible(h: Perturbation, t1: float, t2: float, dim: int, hv: np.ndarray):
     """The one admissibility rule: h lives on [t1, t2] (to 1e-9 of its
-    length), acts on a coordinate below dim and vanishes at both ends."""
+    length), acts on a coordinate below dim and vanishes at both ends (hv[0], hv[-1])."""
     tol = 1e-9 * (t2 - t1)
     if abs(h.t1 - t1) > tol or abs(h.t2 - t2) > tol:
         raise ValueError("perturbation interval does not match")
     if not 0 <= h.component < dim:
         raise ValueError(f"perturbation component {h.component} out of range "
                          f"for dimension {dim}")
-    ends = np.abs(h.values(np.array([t1, t2]))[0])
+    ends = np.abs(hv[[0, -1]])
     if np.any(ends > 1e-12 * max(1.0, abs(h.sigma))):
         raise ValueError("perturbation must vanish at both endpoints")
 
@@ -217,8 +218,9 @@ def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
     with an even interval count at roughly the base resolution, so that the
     action quadrature integrates each smooth piece at full order.
     """
-    _check_admissible(h, base.t1, base.t2, base.dim)
-    inner = sorted(h.interior_knots())
+    # a knot outside base's window (h then fails the window check) must not grow the grid
+    inner = sorted(k for k in h.interior_knots() if base.t1 < k < base.t2)
+    t = base.t
     if inner:
         bounds = [base.t1, *inner, base.t2]
         step = (base.t2 - base.t1) / (len(base.t) - 1)
@@ -230,10 +232,9 @@ def perturb_curve(base: Trajectory, h: Perturbation) -> Trajectory:
             seg = np.linspace(a, b, n + 1)  # ends at b exactly, so each knot is on the grid
             pieces.append(seg if not pieces else seg[1:])
         t = np.concatenate(pieces)
-        x, v = base.sample(t)
-    else:
-        t, x, v = base.t, base.x.copy(), base.v.copy()
     hv, hd = h.values(t)
+    _check_admissible(h, base.t1, base.t2, base.dim, hv)
+    x, v = base.sample(t) if inner else (base.x.copy(), base.v.copy())
     x[:, h.component] += hv
     v[:, h.component] += hd
     return Trajectory(t, x, v, knots=tuple(inner))

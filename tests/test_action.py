@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vnag import (Constant, LagrangianSpec, Perturbation, Polynomial1D, QuadraticDiagonal,
@@ -284,6 +284,41 @@ def test_one_pass_variations_match_span_loop(case):
     curve = perturb_curve(curve, scale(h, 0.5))
     assert (first_variation(spec, curve, h, n_steps=n_steps)
             == _first_variation_per_span(spec, curve, h, n_steps))
+
+
+def _linspace_spans(t1, t2, inner_knots, n_steps):
+    """The reference for `_span_nodes`: one np.linspace call per inter-knot
+    span, the grids concatenated, and each span's (start, stop, step)."""
+    bounds = [t1, *sorted(k for k in inner_knots if t1 < k < t2), t2]
+    grids, spans = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = max(32, 2 * math.ceil(n_steps * (b - a) / (t2 - t1) / 2.0))
+        grids.append(np.linspace(a, b, n + 1))
+        start = spans[-1][1] if spans else 0
+        spans.append((start, start + n + 1, float(grids[-1][1] - grids[-1][0])))
+    return np.concatenate(grids), spans
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(t1=0.0, width=1e-321, fractions=[], n_steps=4096)  # the step underflows to 0
+@example(t1=1.0, width=2.0, fractions=[0.5, 0.5001, 0.5002, 0.9, 0.9, 0.99999], n_steps=20000)
+@example(t1=-3.0, width=1e-300, fractions=[0.25, 0.5, 0.75], n_steps=1)
+@given(t1=st.floats(-1e6, 1e6),
+       width=st.one_of(st.floats(1e-300, 1e6), st.floats(1e-323, 1e-300)),
+       fractions=st.lists(st.one_of(st.floats(-0.1, 1.1), st.floats(0.0, 1e-3)), max_size=8),
+       n_steps=st.integers(1, 20000))
+def test_span_nodes_match_per_span_linspace(t1, width, fractions, n_steps):
+    # bit for bit, with the spans' (start, stop, step): nodes, knots outside
+    # the window dropped, short spans at the 32-interval floor, and numpy's
+    # own branch where a span's step underflows to 0
+    t2 = t1 + width
+    assume(t1 < t2)
+    knots = [t1 + width * f for f in fractions]
+    nodes, spans = _span_nodes(t1, t2, knots, n_steps)
+    want, want_spans = _linspace_spans(t1, t2, knots, n_steps)
+    assert np.array_equal(nodes, want) and np.array_equal(np.signbit(nodes), np.signbit(want))
+    assert spans == want_spans
+    assert all(type(v) is int for span in spans for v in span[:2])
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-10], ids=["on_grid", "off_grid"])

@@ -140,3 +140,69 @@ def test_pair_evaluator_is_bit_identical():
         _j1_y1(0.0)
     with pytest.raises(NumericalError):
         _j1_y1(5e-324)
+
+
+def _old_series(x):
+    """The reference for `_series`: the power series with k (k + 1) and the
+    digamma sum computed afresh on every term."""
+    from vnag.bessel import _EULER_GAMMA
+    half = 0.5 * x
+    q = -half * half
+    term = half
+    g = 1.0 - 2.0 * _EULER_GAMMA
+    j, s = term, term * g
+    for k in range(1, 40):
+        term *= q / (k * (k + 1))
+        g += 1.0 / k + 1.0 / (k + 1)
+        j += term
+        s += term * g
+        if abs(term) < 1e-17 * half:
+            break
+    return j, (2.0 * math.log(half) * j - 2.0 / x - s) / math.pi
+
+
+def _old_anchor_coeffs():
+    """The reference for `_J_COEFFS` and `_Y_COEFFS`: the Taylor anchors
+    started from `_old_series` and its term-by-term derivative at x = 4."""
+    from vnag.bessel import (_ANCHORS, _EULER_GAMMA, _STEP_TERMS, _TERMS, _taylor_coeffs,
+                             _unit_step)
+    x = _ANCHORS[0] - 1.0
+    half = 0.5 * x
+    q = -half * half
+    term = half
+    g = 1.0 - 2.0 * _EULER_GAMMA
+    dj, ds = term, term * g
+    for k in range(1, 40):
+        term *= q / (k * (k + 1))
+        g += 1.0 / k + 1.0 / (k + 1)
+        dj += (2 * k + 1) * term
+        ds += (2 * k + 1) * term * g
+        if abs(term) < 1e-17 * half:
+            break
+    j, y = _old_series(x)
+    dy = (2.0 * (j + math.log(half) * dj) / x + 2.0 / (x * x) - ds / x) / math.pi
+    dj /= x
+    j_coeffs, y_coeffs = [], []
+    for x0 in range(_ANCHORS[0] - 1, _ANCHORS[-1] + 1):
+        aj = _taylor_coeffs(float(x0), j, dj, _STEP_TERMS)
+        ay = _taylor_coeffs(float(x0), y, dy, _STEP_TERMS)
+        if x0 >= _ANCHORS[0]:
+            j_coeffs.append(tuple(reversed(aj[:_TERMS])))
+            y_coeffs.append(tuple(reversed(ay[:_TERMS])))
+        j, dj = _unit_step(aj)
+        y, dy = _unit_step(ay)
+    return tuple(j_coeffs), tuple(y_coeffs)
+
+
+def test_tabled_series_is_bit_identical():
+    # the series summed from its table gives the per-term loop's bits at the
+    # ends of its region (one ulp either side) and at 20,000 log-uniform points,
+    # and the anchors built from it are unchanged
+    from vnag.bessel import _J_COEFFS, _SERIES_MAX, _TINY, _Y_COEFFS, _series
+    xs = [q for s in (_TINY, _SERIES_MAX) for q in (math.nextafter(s, 0.0), s,
+                                                   math.nextafter(s, math.inf))]
+    rng = np.random.default_rng(25)
+    xs += np.exp(rng.uniform(math.log(_TINY), math.log(_SERIES_MAX), 20000)).tolist()
+    for x in xs:  # float.hex also tells -0.0 from 0.0
+        assert [v.hex() for v in _series(x)] == [v.hex() for v in _old_series(x)], x
+    assert repr((_J_COEFFS, _Y_COEFFS)) == repr(_old_anchor_coeffs())

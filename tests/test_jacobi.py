@@ -679,3 +679,13 @@ def test_range_checks_scale_with_the_span(call, message):
     # outside it however short the curve is
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_root_scan_stops_at_max_roots_after_an_exact_zero(monkeypatch):
+    # w(s) = (s - s_k) cos(s) is exactly 0 at the second scan point s_k; that
+    # root counts toward max_roots like a refined sign change does
+    s_k = 1.0 + 1e-9 + math.pi / 8.0  # beta = t1 = 1: the scan starts at s1 + 1e-9
+    monkeypatch.setattr(jacobi, "_cross_product", lambda s1: lambda s: (s - s_k) * math.cos(s))
+    assert jacobi._cross_product_roots(1.0, 1.0, 10.0, max_roots=1) == [s_k]
+    everything = jacobi._cross_product_roots(1.0, 1.0, 10.0)
+    assert everything[0] == s_k and len(everything) > 1

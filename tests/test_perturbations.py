@@ -10,6 +10,7 @@ from vnag import (Constant, LagrangianSpec, Perturbation, QuadraticDiagonal, Tra
                   first_variation, fourier_sine, integrate_flow,
                   perturb_curve, scale, second_variation, sinusoid, triangle,
                   triangle_d2j_closed)
+from vnag.action import _span_nodes
 
 
 def test_admissibility_all_kinds():
@@ -151,6 +152,10 @@ def test_perturb_curve_interval_mismatch():
     base = integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 1.0, 5.0, 200)
     with pytest.raises(ValueError):
         perturb_curve(base, sinusoid(1, 1.0, 6.0))
+    # the window is checked on the values of h over the new grid; knots of a
+    # far larger window do not size that grid
+    with pytest.raises(ValueError, match="interval does not match"):
+        perturb_curve(base, triangle(2.5e12, 1e12, 1.0, 5e12))
 
 
 def test_increment_decomposition(warm_state):
@@ -234,7 +239,10 @@ def _ulp_neighbourhood(points):
 def test_one_pass_matches_per_call_formulas():
     # at every knot, one ulp either side of it and on a dense grid, h and h'
     # are bit-identical to the per-call formulas; a knot belongs to the
-    # straight piece beside it (closed), never to the blend window (open)
+    # straight piece beside it (closed), never to the blend window (open).
+    # Each probe is evaluated on unsorted times, on the same times sorted and
+    # on its quadrature nodes: the triangle fills sorted times by slices and
+    # sorts other times first
     t1, t2 = 0.5, 6.5
     probes = [triangle(3.0, 1.0, t1, t2), triangle(3.1, 2.2, t1, t2, delta=0.02),
               scale(triangle(2.0, 0.7, t1, t2, delta=1e-5), 3.5),
@@ -246,11 +254,15 @@ def test_one_pass_matches_per_call_formulas():
             c, eps, _ = h.params
             marks += [c, c - eps, c + eps]
         t = np.concatenate([_ulp_neighbourhood(marks), np.linspace(t1 - 0.1, t2 + 0.1, 2001)])
-        hv, hd = h.values(t)
-        for got, deriv in ((hv, False), (hd, True)):
-            want = _old_profile(h, t, deriv)
-            assert np.array_equal(got, want), (h.kind, deriv)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for times in (t, np.sort(t), _span_nodes(t1, t2, h.interior_knots(), 4096)[0]):
+            hv, hd = h.values(times)
+            for got, deriv in ((hv, False), (hd, True)):
+                want = _old_profile(h, times, deriv)
+                assert np.array_equal(got, want), (h.kind, deriv)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        # times of any shape, element for element
+        for got, flat in zip(h.values(t[:2000].reshape(40, 50)), h.values(t[:2000])):
+            assert got.shape == (40, 50) and np.array_equal(got.ravel(), flat)
 
 
 def test_interval_match_is_relative_to_the_window():
