@@ -2,11 +2,13 @@
 
 The runs are the five `vnag reproduce` figures and one run of each config
 in this directory.  `outputs.sha256` records their digests, with the Python
-and numpy versions that produced them in its header.  `corpus.sha256`
-records, for each run of `corpus.jsonl` (see corpus.py), its exit code
-(`<code>  <run>/exit`) and the digest of every file it leaves.
-tests/test_golden.py runs both again and compares.  A change that alters
-output bytes or exit codes on purpose rewrites both manifests with
+and numpy versions, numpy's SIMD dispatch and the C library that produced
+them in its header.  `corpus.sha256` records, for each run of `corpus.jsonl`
+(see corpus.py), its exit code (`<code>  <run>/exit`) and the digest of every
+file it leaves, and `library.sha256` the digest of each library call of
+library.py.  tests/test_golden.py makes all three again and compares.  A
+change that alters output bytes, exit codes or library results on purpose
+rewrites the manifests with
 
     PYTHONPATH=src python tests/golden/bless.py
 
@@ -39,7 +41,12 @@ CONFIGS = (("second-variation", "second_variation.json"), ("classify", "classify
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """What the bytes depend on: numpy's kernels follow its SIMD dispatch (the
+    dispatch targets this CPU enables), the C library's math functions its version."""
+    core = np._core._multiarray_umath
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "numpy_simd": " ".join(d for d in core.__cpu_dispatch__ if core.__cpu_features__.get(d)),
+            "libc": " ".join(platform.libc_ver())}
 
 
 def produce(out_root: Path) -> dict:
@@ -91,14 +98,18 @@ def read_manifest(path: Path = MANIFEST) -> tuple[dict, dict]:
     return meta, digests
 
 
-def write_manifest(digests: dict, path: Path = MANIFEST):
-    head = ["# sha256 of the files written by the golden vnag runs (tests/golden/bless.py)",
+def write_manifest(digests: dict, path: Path = MANIFEST,
+                   what: str = "the files written by the golden vnag runs"):
+    head = [f"# sha256 of {what} (tests/golden/bless.py)",
             *(f"# {key}: {value}" for key, value in versions().items())]
     path.write_text("\n".join(head + [f"{d}  {n}" for n, d in sorted(digests.items())]) + "\n")
 
 
 if __name__ == "__main__":
-    for make, path in ((produce, MANIFEST), (produce_corpus, CORPUS_MANIFEST)):
+    import library
+    for make, path, *what in ((produce, MANIFEST), (produce_corpus, CORPUS_MANIFEST),
+                              (lambda _: library.produce(), library.LIBRARY_MANIFEST,
+                               "the results of the library calls in library.py")):
         with tempfile.TemporaryDirectory() as tmp:
             found = make(Path(tmp))
         old = read_manifest(path)[1] if path.exists() else {}
@@ -106,5 +117,5 @@ if __name__ == "__main__":
             if old.get(name) != found.get(name):
                 what = "added" if name not in old else "removed" if name not in found else "changed"
                 print(f"{what}: {path.name} {name}", file=sys.stderr)
-        write_manifest(found, path)
+        write_manifest(found, path, *what)
         print(f"wrote {len(found)} digests to {path}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Every output file of the golden runs is byte-identical to the manifest,
-and every run of the config corpus keeps its exit code and output bytes."""
+every run of the config corpus keeps its exit code and output bytes, and
+every library call of golden/library.py keeps every bit of its result."""
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +13,7 @@ def _load(name):
     return module
 
 
-bless, corpus = _load("bless"), _load("corpus")
+bless, corpus, library = _load("bless"), _load("corpus"), _load("library")
 
 
 def _compare(manifest, got):
@@ -29,6 +30,10 @@ def test_outputs_match_golden_manifest(tmp_path):
 
 def test_corpus_matches_manifest(tmp_path):
     _compare(bless.CORPUS_MANIFEST, bless.produce_corpus(tmp_path))
+
+
+def test_library_matches_manifest():
+    _compare(library.LIBRARY_MANIFEST, library.produce())
 
 
 def test_corpus_is_what_its_generator_writes():
