@@ -10,6 +10,8 @@ would) and sums each span's Simpson integral over its slice (`_span_simpson`).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +79,24 @@ def _span_nodes(t1: float, t2: float, inner_knots, n_steps: int):
     carry the sharpest derivatives, so skimping there costs real accuracy.
     """
     bounds = [t1, *sorted(k for k in inner_knots if t1 < k < t2), t2]
-    delta = np.diff(bounds)
-    n = np.maximum(32, 2 * np.ceil(n_steps * delta / (t2 - t1) / 2.0).astype(int))
+    # per span in Python numbers, the IEEE operations of numpy's array arithmetic;
+    # counts past 2^62 intervals, and the inf or nan of a span past the float range,
+    # take the 32-interval floor, as 2 ceil(x) in int64 wraps below it
+    delta = [b - a for a, b in zip(bounds, bounds[1:])]
+    n = [max(32, 2 * math.ceil(x)) if x < 2.0 ** 62 else 32
+         for x in (n_steps * d / (t2 - t1) / 2.0 for d in delta)]
+    size, step = [k + 1 for k in n], [d / k for d, k in zip(delta, n)]
+    stop = list(itertools.accumulate(size))
     # np.linspace(a, b, n + 1) for every span at once: i step + a, the last node b;
     # a step that underflows to 0 takes numpy's branch, (i / n) (b - a)
-    stop = np.cumsum(n + 1)
-    i, step = np.arange(stop[-1]) - np.repeat(stop - n - 1, n + 1), delta / n
-    if (zero := step == 0.0).any():
-        i = np.where(np.repeat(zero, n + 1), i / np.repeat(n, n + 1), i)
-        step = np.where(zero, delta, step)
-    nodes = i * np.repeat(step, n + 1) + np.repeat(bounds[:-1], n + 1)
-    nodes[stop - 1] = bounds[1:]
+    i = np.arange(stop[-1]) - np.repeat([s - m for s, m in zip(stop, size)], size)
+    if 0.0 in step:
+        i = np.where(np.repeat([s == 0.0 for s in step], size), i / np.repeat(n, size), i)
+        step = [s or d for s, d in zip(step, delta)]
+    nodes = i * np.repeat(step, size) + np.repeat(bounds[:-1], size)
+    nodes[[s - 1 for s in stop]] = bounds[1:]
     return nodes, [(s - k - 1, s, float(nodes[s - k] - nodes[s - k - 1]))
-                   for k, s in zip(n.tolist(), stop.tolist())]
+                   for k, s in zip(n, stop)]
 
 
 def _probe_nodes(spec: LagrangianSpec, t1: float, t2: float, h, n_steps: int):

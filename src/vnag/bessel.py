@@ -121,15 +121,17 @@ def _build_anchors() -> tuple[tuple, tuple]:
 
 
 _J_COEFFS, _Y_COEFFS = _build_anchors()
+_TAYLOR = tuple(tuple(zip(aj, ay)) for aj, ay in zip(_J_COEFFS, _Y_COEFFS))
 
 
-def _taylor(x: float, coeffs: tuple, x0: int) -> float:
-    """Horner evaluation of the expansion about the anchor x0 at x."""
+def _taylor(x: float, x0: int) -> tuple[float, float]:
+    """(J1, Y1) at x by Horner evaluation of the expansions about the anchor x0."""
     h = x - x0
-    acc = 0.0
-    for a in coeffs[x0 - _ANCHORS[0]]:
-        acc = acc * h + a
-    return acc
+    j = y = 0.0
+    for aj, ay in _TAYLOR[x0 - _ANCHORS[0]]:
+        j = j * h + aj
+        y = y * h + ay
+    return j, y
 
 
 def _hankel_pq(x: float) -> tuple[float, float]:
@@ -141,16 +143,17 @@ def _hankel_pq(x: float) -> tuple[float, float]:
     k = 1
     while k < 200:
         c = c * (_MU - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(c) >= prev:
+        size = abs(c)
+        if size >= prev:
             break  # divergence onset; drop the growing tail
-        contrib = (-1.0) ** (k // 2) * c
+        contrib = -c if k & 2 else c  # (-1)^(k // 2) c
         if k % 2 == 1:
             q += contrib
         else:
             p += contrib
-        if abs(c) < 1e-19:
+        if size < 1e-19:
             break
-        prev = abs(c)
+        prev = size
         k += 1
     return p, q
 
@@ -177,8 +180,7 @@ def _j1_y1(x: float) -> tuple[float, float]:
     if x < _SERIES_MAX:
         return _series(x)
     if x < _SWITCH:
-        x0 = int(x + 0.5)
-        return _taylor(x, _J_COEFFS, x0), _taylor(x, _Y_COEFFS, x0)
+        return _taylor(x, int(x + 0.5))
     return _asymptotic(x)
 
 

@@ -149,31 +149,33 @@ def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
 def _cross_product_roots(beta: float, t1: float, t_max: float,
                          max_roots: int | None = None) -> list:
     """Roots t in (t1, t_max] of the cross product w(sqrt(beta) t): the
-    zeros of `jacobi_closed_vanishing`."""
+    zeros of `jacobi_closed_vanishing`; with max_roots >= 1, the first ones."""
     rb = math.sqrt(beta)
     s1 = rb * t1
     w = _cross_product(s1)
-    # Sturm comparison (u = s^{3/2} h solves u'' + (1 - 3/(4 s^2)) u = 0)
-    # bounds consecutive zeros at least ~pi apart in s; pi/8 cannot skip one.
+    # u = s^{3/2} h solves u'' + (1 - 3/(4 s^2)) u = 0 with 1 - 3/(4 s^2) < 1, so by
+    # Sturm comparison consecutive zeros of w lie more than pi apart, and s1 is one.
+    # A pi/8 cell ending below the last zero + 3 holds none: w is not evaluated there.
     ds = math.pi / 8.0
     roots = []
     s_end = rb * t_max
-    s_a = s1 + 1e-9 * max(1.0, s1)
-    w_a = w(s_a)
-    s = s_a
-    while s < s_end:
-        s_b = min(s + ds, s_end)
-        if s_b == s:
-            raise NumericalError(f"root scan step below one ulp at s = {s}")
+    s_a, w_a, skip = s1 + 1e-9 * max(1.0, s1), None, s1 + 3.0
+    while s_a < s_end:
+        s_b = min(s_a + ds, s_end)
+        if s_b == s_a:
+            raise NumericalError(f"root scan step below one ulp at s = {s_a}")
+        if s_b < skip:
+            s_a, w_a = s_b, None
+            continue
+        w_a = w(s_a) if w_a is None else w_a
         w_b = w(s_b)
-        if w_a == 0.0:
-            roots.append(s_a / rb)
-        elif w_a * w_b < 0.0:
-            roots.append(_refine(w, s_a, s_b, w_a, w_b) / rb)
-        if max_roots is not None and len(roots) >= max_roots:
-            return roots
+        if w_a == 0.0 or w_a * w_b < 0.0:
+            root = s_a if w_a == 0.0 else _refine(w, s_a, s_b, w_a, w_b)
+            roots.append(root / rb)
+            if max_roots is not None and len(roots) >= max_roots:
+                return roots
+            skip = root + 3.0
         s_a, w_a = s_b, w_b
-        s = s_b
     return roots
 
 

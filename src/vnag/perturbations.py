@@ -71,7 +71,7 @@ class Perturbation:
         unsorted = not np.all(t[:-1] <= t[1:])
         order = np.argsort(t, kind="stable") if unsorted else slice(None)
         ts = t[order]
-        hv, hd = np.zeros_like(ts), np.zeros_like(ts)
+        hv, hd = np.zeros(len(ts)), np.zeros(len(ts))
         inv = 1.0 / eps
         # straight pieces are closed intervals and blend windows open, so a
         # knot belongs to the straight piece beside it: the sorted times are cut
@@ -84,15 +84,13 @@ class Perturbation:
         hd[fall] = -inv
         hv[rise] = (ts[rise] - (c - eps)) * inv
         hv[fall] = (c + eps - ts[fall]) * inv
-        u = (ts[up] - (c - eps)) / delta
-        hd[up] = _g_up(u) * inv
-        hv[up] = (delta * inv) * _big_g_up(u)
+        # the falling corner mirrors the rising one: one evaluation on both windows
+        u = np.concatenate([ts[up] - (c - eps), (c + eps) - ts[dn]]) / delta
+        g, big_g, k = _g_up(u) * inv, (delta * inv) * _big_g_up(u), up.stop - up.start
+        hd[up], hv[up], hd[dn], hv[dn] = g[:k], big_g[:k], -g[k:], big_g[k:]
         u = (ts[ap] - c) / delta
         hd[ap] = _g_apex(u) * inv
         hv[ap] = 1.0 - delta * inv + (delta * inv) * _big_g_apex(u)
-        u = (ts[dn] - (c + eps)) / delta
-        hd[dn] = -_g_up(-u) * inv
-        hv[dn] = (delta * inv) * _big_g_up(-u)
         back = np.argsort(order) if unsorted else order  # to the caller's order
         return hv[back], hd[back]
 

@@ -54,20 +54,16 @@ def test_regime_overlap():
     # neighbouring regions agree at every seam: series against the first
     # Taylor anchor at 4.5, adjacent anchors at each half-integer, and the
     # last anchor against the Hankel expansion at the switch
-    from vnag.bessel import (_ANCHORS, _J_COEFFS, _SERIES_MAX, _Y_COEFFS,
-                             _asymptotic, _series, _taylor)
+    from vnag.bessel import _ANCHORS, _SERIES_MAX, _asymptotic, _series, _taylor
     assert _SERIES_MAX == 4.5 and _SWITCH == 20.0
     assert list(_ANCHORS) == list(range(5, 21))
-    js, ys = _series(4.5)[:2]
-    assert abs(js - _taylor(4.5, _J_COEFFS, 5)) <= 1e-12
-    assert abs(ys - _taylor(4.5, _Y_COEFFS, 5)) <= 1e-12
+    for a, b in zip(_series(4.5), _taylor(4.5, 5)):
+        assert abs(a - b) <= 1e-12
     for x0 in range(5, 20):
-        for coeffs in (_J_COEFFS, _Y_COEFFS):
-            x = x0 + 0.5
-            assert abs(_taylor(x, coeffs, x0) - _taylor(x, coeffs, x0 + 1)) <= 1e-12
-    ja, ya = _asymptotic(20.0)
-    assert abs(ja - _taylor(20.0, _J_COEFFS, 20)) <= 1e-12
-    assert abs(ya - _taylor(20.0, _Y_COEFFS, 20)) <= 1e-12
+        for a, b in zip(_taylor(x0 + 0.5, x0), _taylor(x0 + 0.5, x0 + 1)):
+            assert abs(a - b) <= 1e-12
+    for a, b in zip(_asymptotic(20.0), _taylor(20.0, 20)):
+        assert abs(a - b) <= 1e-12
 
 
 def test_dense_absolute_accuracy():
@@ -112,14 +108,18 @@ def _single(x, which):
     """J1 (which = 0) or Y1 (which = 1) by its own region dispatch, as
     bessel_j1 and bessel_y1 evaluated them before they became the halves of
     the pair evaluator."""
-    from vnag.bessel import (_J_COEFFS, _SERIES_MAX, _TINY, _Y_COEFFS, _asymptotic,
-                             _series, _taylor)
+    from vnag.bessel import (_ANCHORS, _J_COEFFS, _SERIES_MAX, _TINY, _Y_COEFFS,
+                             _asymptotic, _series)
     if x < _TINY:
         return (0.5 * x, -(2.0 / math.pi) / x)[which]
     if x < _SERIES_MAX:
         return _series(x)[which]
-    if x < _SWITCH:
-        return _taylor(x, (_J_COEFFS, _Y_COEFFS)[which], int(x + 0.5))
+    if x < _SWITCH:  # one Horner chain per function, the reference for `_taylor`'s pair
+        x0 = int(x + 0.5)
+        acc = 0.0
+        for a in (_J_COEFFS, _Y_COEFFS)[which][x0 - _ANCHORS[0]]:
+            acc = acc * (x - x0) + a
+        return acc
     return _asymptotic(x)[which]
 
 

@@ -682,10 +682,49 @@ def test_range_checks_scale_with_the_span(call, message):
 
 
 def test_root_scan_stops_at_max_roots_after_an_exact_zero(monkeypatch):
-    # w(s) = (s - s_k) cos(s) is exactly 0 at the second scan point s_k; that
-    # root counts toward max_roots like a refined sign change does
-    s_k = 1.0 + 1e-9 + math.pi / 8.0  # beta = t1 = 1: the scan starts at s1 + 1e-9
+    # w(s) = (s - s_k) cos(s) is exactly 0 at the ninth scan point s_k, the
+    # first one past s1 + 3, where the scan starts evaluating w; that root
+    # counts toward max_roots like a refined sign change does
+    s_k = 1.0 + 1e-9  # beta = t1 = 1: the scan starts at s1 + 1e-9
+    for _ in range(8):
+        s_k += math.pi / 8.0
     monkeypatch.setattr(jacobi, "_cross_product", lambda s1: lambda s: (s - s_k) * math.cos(s))
     assert jacobi._cross_product_roots(1.0, 1.0, 10.0, max_roots=1) == [s_k]
     everything = jacobi._cross_product_roots(1.0, 1.0, 10.0)
     assert everything[0] == s_k and len(everything) > 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(s1=st.floats(1e-3, 1e3), beta=st.floats(1e-2, 1e2))
+def test_cross_product_zeros_lie_more_than_pi_apart(s1, beta):
+    # the gap the root scan steps over: w has one sign on a fine grid over
+    # (s1, s1 + 3), and consecutive conjugate times lie more than pi apart in s
+    w = jacobi._cross_product(s1)
+    signs = {math.copysign(1.0, w(s1 + 3.0 * k / 600)) for k in range(1, 601)}
+    assert len(signs) == 1
+    t1 = s1 / math.sqrt(beta)
+    roots = conjugate_points_bessel(beta, t1, t1 + 40.0 / math.sqrt(beta)).conjugate_times
+    assert len(roots) >= 10
+    assert min(np.diff((t1, *roots))) > math.pi / math.sqrt(beta)
+
+
+def test_root_scan_does_not_evaluate_where_no_zero_can_lie(monkeypatch):
+    # the scan evaluates w only in pi/8 cells that reach s1 + 3 or a root + 3;
+    # the refinement's evaluations stay inside the cell of its root
+    beta, t1, t_max = 2.0, 0.7, 40.0
+    s1, ds = math.sqrt(beta) * t1, math.pi / 8.0
+    calls, cross_product = [], jacobi._cross_product
+
+    def recorded(s1):
+        w = cross_product(s1)
+        return lambda s: calls.append(s) or w(s)
+
+    expected = jacobi._cross_product_roots(beta, t1, t_max)
+    monkeypatch.setattr(jacobi, "_cross_product", recorded)
+    roots = jacobi._cross_product_roots(beta, t1, t_max)
+    assert roots == expected and len(roots) == 17
+    for z in (s1, *(math.sqrt(beta) * r for r in roots)):
+        assert not any(z + ds < s < z + 3.0 - ds for s in calls)
+    # two or three scan points and about six refinement steps per root; a
+    # scan of every cell adds eight points per root, one per pi/8
+    assert len(calls) < 10 * len(roots)
