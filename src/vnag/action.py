@@ -10,7 +10,6 @@ would) and sums each span's Simpson integral over its slice (`_span_simpson`).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,21 +81,23 @@ def _span_nodes(t1: float, t2: float, inner_knots, n_steps: int):
     # per span in Python numbers, the IEEE operations of numpy's array arithmetic;
     # counts past 2^62 intervals, and the inf or nan of a span past the float range,
     # take the 32-interval floor, as 2 ceil(x) in int64 wraps below it
-    delta = [b - a for a, b in zip(bounds, bounds[1:])]
-    n = [max(32, 2 * math.ceil(x)) if x < 2.0 ** 62 else 32
-         for x in (n_steps * d / (t2 - t1) / 2.0 for d in delta)]
-    size, step = [k + 1 for k in n], [d / k for d, k in zip(delta, n)]
-    stop = list(itertools.accumulate(size))
+    n, step, stop = [], [], [0]
+    for a, b in zip(bounds, bounds[1:]):
+        x = n_steps * (b - a) / (t2 - t1) / 2.0
+        n.append(k := max(32, 2 * math.ceil(x)) if x < 2.0 ** 62 else 32)
+        step.append((b - a) / k)
+        stop.append(stop[-1] + k + 1)
     # np.linspace(a, b, n + 1) for every span at once: i step + a, the last node b;
     # a step that underflows to 0 takes numpy's branch, (i / n) (b - a)
-    i = np.arange(stop[-1]) - np.repeat([s - m for s, m in zip(stop, size)], size)
+    size = np.add(n, 1)
+    i = np.arange(stop[-1]) - np.repeat(stop[:-1], size)
     if 0.0 in step:
-        i = np.where(np.repeat([s == 0.0 for s in step], size), i / np.repeat(n, size), i)
-        step = [s or d for s, d in zip(step, delta)]
+        i = np.where(np.repeat(np.equal(step, 0.0), size), i / np.repeat(n, size), i)
+        step = [s or b - a for s, a, b in zip(step, bounds, bounds[1:])]
     nodes = i * np.repeat(step, size) + np.repeat(bounds[:-1], size)
-    nodes[[s - 1 for s in stop]] = bounds[1:]
+    nodes[np.subtract(stop[1:], 1)] = bounds[1:]
     return nodes, [(s - k - 1, s, float(nodes[s - k] - nodes[s - k - 1]))
-                   for k, s in zip(n, stop)]
+                   for k, s in zip(n, stop[1:])]
 
 
 def _probe_nodes(spec: LagrangianSpec, t1: float, t2: float, h, n_steps: int):

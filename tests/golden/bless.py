@@ -115,7 +115,7 @@ if __name__ == "__main__":
         old = read_manifest(path)[1] if path.exists() else {}
         for name in sorted(old.keys() | found.keys()):
             if old.get(name) != found.get(name):
-                what = "added" if name not in old else "removed" if name not in found else "changed"
-                print(f"{what}: {path.name} {name}", file=sys.stderr)
+                change = "added" if name not in old else "removed" if name not in found else "changed"
+                print(f"{change}: {path.name} {name}", file=sys.stderr)
         write_manifest(found, path, *what)
         print(f"wrote {len(found)} digests to {path}", file=sys.stderr)

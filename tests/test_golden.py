@@ -20,7 +20,7 @@ def _compare(manifest, got):
     meta, expected = bless.read_manifest(manifest)
     wrong = sorted(n for n in set(expected) | set(got) if expected.get(n) != got.get(n))
     assert not wrong, (
-        f"exit codes or output bytes differ from {manifest.name} in: {', '.join(wrong)}; "
+        f"digests differ from {manifest.name} in: {', '.join(wrong)}; "
         f"manifest made with {meta}, this run with {bless.versions()}")
 
 
