@@ -5,7 +5,11 @@ to the library, below any CLI run: `_j1_y1` on log-uniform points and one
 ulp either side of each region seam, `_cross_product_roots` with and
 without `max_roots`, `conjugate_points_bessel`, `first_conjugate_time` at
 c = 3, triangle `values` on sorted, unsorted and span-grid times,
-`_span_nodes`, `second_variation` and `saddle_witness`.  Each result is
+`_span_nodes`, `second_variation` and `saddle_witness`; then flows:
+`integrate_flow` on quadratics (1, 2 and 100 directions) and on
+polynomials of degree 2, 4 and 6 under three dampings, `el_residual` on
+each of those flows, `integrate_gradient_flow`, `jacobi_solution`,
+`conjugate_points_shooting` and `conjugate_points_along`.  Each result is
 digested through `float.hex` and array bytes, so a change of one ulp, or of
 the sign of a zero, changes it; a call that raises is digested by its
 exception type and message.  Every call runs with warnings raised as
@@ -25,9 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from vnag import (Constant, LagrangianSpec, QuadraticDiagonal, Vanishing,
-                  conjugate_points_bessel, first_conjugate_time, fourier_sine,
-                  saddle_witness, second_variation, sinusoid, triangle)
+from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal, Vanishing,
+                  conjugate_points_along, conjugate_points_bessel,
+                  conjugate_points_shooting, el_residual, first_conjugate_time,
+                  fourier_sine, integrate_flow, integrate_gradient_flow,
+                  jacobi_solution, saddle_witness, second_variation, sinusoid,
+                  triangle)
 from vnag.action import _span_nodes
 from vnag.bessel import _j1_y1
 from vnag.jacobi import _cross_product_roots
@@ -160,7 +167,70 @@ def cases() -> list:
         t2 = t1 + lu(0.5, 40.0) / math.sqrt(beta)
         out.append((f"saddle_witness/{i:02d}", lambda a=(beta, t1, t2): saddle_witness(*a)))
     out.append(("saddle_witness/inf", lambda: saddle_witness(1e300, 1.0, 1e10)))
+
+    flows = []  # (name, potential, damping, x0, v0, t1, t2, n_steps)
+    for i in range(36):
+        k = (1, 2, 100)[(i // 3) % 3]
+        pot = QuadraticDiagonal([lu(1e-2, 1e2) for _ in range(k)],
+                                [rng.uniform(-2.0, 2.0) for _ in range(k)])
+        t1 = lu(0.05, 5.0)
+        flows.append((f"quadratic/{i:02d}", pot, dampings[i % 3],
+                      [rng.uniform(-2.0, 2.0) for _ in range(k)],
+                      [rng.uniform(-1.0, 1.0) for _ in range(k)],
+                      t1, t1 + lu(0.5, 20.0), rng.choice((2, 3, 64, 500, 1000, 5000))))
+    for i in range(24):
+        xstar = rng.uniform(0.5, 3.0) * rng.choice((-1, 1))
+        pot = Polynomial1D(lu(0.1, 10.0), (2, 4, 6)[i % 3], xstar)
+        t1 = lu(0.05, 5.0)
+        flows.append((f"polynomial/{i:02d}", pot, dampings[(i // 3) % 3],
+                      pot.xstar + rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0),
+                      t1, t1 + lu(0.5, 20.0), rng.choice((2, 3, 100, 500, 1000, 5000))))
+    # a quadratic and a quartic step far past RK4's stability limit
+    flows += [("quadratic/unstable", QuadraticDiagonal([1e6]), Vanishing(3.0), [1.0], [0.0],
+               1.0, 100.0, 100),
+              ("polynomial/unstable", Polynomial1D(1.0, 4, 0.5), Constant(0.5), 3.0, 0.0,
+               0.5, 50.0, 20)]
+    for name, *a in flows:
+        out.append((f"integrate_flow/{name}", lambda a=a: _trajectory(integrate_flow(*a))))
+    for name, pot, damping, *a in flows:
+        out.append((f"el_residual/{name}", lambda a=(pot, damping, *a):
+                    el_residual(integrate_flow(*a), a[0], a[1])))
+
+    for i in range(20):
+        k = (1, 3)[i % 2]
+        pot = QuadraticDiagonal([lu(1e-2, 1e2) for _ in range(k)],
+                                [rng.uniform(-2.0, 2.0) for _ in range(k)]) if i % 4 < 2 \
+            else Polynomial1D(lu(0.1, 10.0), rng.choice((2, 4, 6)), rng.uniform(-3.0, 3.0))
+        x0 = [rng.uniform(-2.0, 2.0) for _ in range(pot.dim)]
+        t1 = rng.uniform(-5.0, 5.0)
+        a = (pot, x0, t1, t1 + lu(0.5, 20.0), rng.choice((2, 100, 5000)))
+        out.append((f"integrate_gradient_flow/{i:02d}",
+                    lambda a=a: _trajectory(integrate_gradient_flow(*a))))
+
+    for i in range(24):
+        spec = LagrangianSpec(dampings[i % 3], QuadraticDiagonal([1.0]))
+        lam, t1 = lu(1e-3, 1e3), lu(0.05, 5.0)
+        a = (spec, lam, t1, t1 + lu(0.5, 30.0) / math.sqrt(lam))
+        n_solution, n_shooting = rng.choice((1, 100, 4000, 10000)), rng.choice((1000, 20000))
+        out.append((f"jacobi_solution/{i:02d}", lambda a=a, n=n_solution: jacobi_solution(*a, n)))
+        out.append((f"conjugate_points_shooting/{i:02d}",
+                    lambda a=a, n=n_shooting: conjugate_points_shooting(*a, n)))
+
+    for i in range(12):
+        pot = Polynomial1D(lu(0.1, 10.0), (2, 4)[(i // 3) % 2], rng.uniform(-2.0, 2.0))
+        t1 = lu(0.1, 2.0)
+        t2 = t1 + lu(5.0, 30.0)
+        base = (pot, dampings[i % 3], pot.xstar + rng.uniform(-1.0, 1.0), 0.0, t1, t2, 2000)
+        w1 = rng.uniform(t1, 0.5 * (t1 + t2))
+        window = (w1, rng.uniform(w1 + 1.0, t2), rng.choice((1000, 20000)))
+        out.append((f"conjugate_points_along/{i:02d}", lambda b=base, w=window:
+                    conjugate_points_along(integrate_flow(*b), b[0], b[1], *w)))
     return out
+
+
+def _trajectory(traj):
+    """A Trajectory's arrays (it has no to_dict)."""
+    return traj.t, traj.x, traj.v
 
 
 def produce() -> dict:
