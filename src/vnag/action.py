@@ -58,9 +58,11 @@ def action(spec: LagrangianSpec, curve: Trajectory) -> float:
     """
     _check_interval(spec.damping, curve.t1, curve.t2)
     # exact: perturb_curve puts each knot on its grid (linspace ends at its stop)
-    if not np.all(np.isin(curve.knots, curve.t[1:-1])):
+    knots, last = np.unique(curve.knots), len(curve.t) - 1
+    at = np.searchsorted(curve.t, knots)
+    if not np.all((0 < at) & (at < last) & (curve.t[np.minimum(at, last)] == knots)):
         raise ValueError("knot time missing from the trajectory grid")
-    bounds = [0, *np.searchsorted(curve.t, np.unique(curve.knots)), len(curve.t) - 1]
+    bounds = [0, *at, last]
     spans = [(i0, i1 + 1, _uniform_step(curve.t[i0:i1 + 1]))
              for i0, i1 in zip(bounds[:-1], bounds[1:])]
     kinetic = 0.5 * np.einsum("ij,ij->i", curve.v, curve.v)

@@ -2,15 +2,14 @@
 
 Integrates
 
-    X'' + d(t) X' + s(t) grad f(X) = 0
+    X'' + d(t) X' + grad f(X) = 0
 
-where the schedule gives the damping d and the force factor s: vanishing
-damping d(t) = c/t and constant damping d(t) = alpha, both with s = 1, and
-the Euclidean Bregman-Lagrangian schedule (a, b, g) with
+under vanishing damping d(t) = c/t (`Vanishing`) or constant damping
+d(t) = alpha (`Constant`).  Vanishing(3.0) is the Euclidean Bregman
+Lagrangian's ideal-scaling schedule a = log(2/t), b = 2 log(t/2),
+g = 2 log t: its damping e^a - a' is 3/t and its force e^(2a+b) is 1.
 
-    d(t) = e^a(t) - a'(t),    s(t) = e^(2 a(t) + b(t)).
-
-`integrate_flow` is the one second-order integrator for all three: classical
+`integrate_flow` is the one second-order integrator for both: classical
 fixed-step RK4 in phase space (X, V), on the fixed grids the quadrature and
 conjugate-point code need.  Linear systems (quadratic flows in x - x*, and
 Jacobi fields) chain per-direction 2x2 RK4 step maps, each entry at its
@@ -22,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -50,9 +48,6 @@ class Vanishing:
     def coefficient(self, t):
         return self.c / t
 
-    def force(self, t):
-        return 1.0
-
     def weight(self, t):
         """Lagrangian time weight t^c; it may overflow to inf."""
         with np.errstate(over="ignore"):
@@ -73,11 +68,8 @@ class Constant:
             raise ValueError("alpha must be finite and >= 0")
 
     def coefficient(self, t):
-        """alpha at any t, a float or an array of times, as `force` gives 1.0."""
+        """alpha at any t, a float or an array of times."""
         return self.alpha
-
-    def force(self, t):
-        return 1.0
 
     def weight(self, t):
         """Lagrangian time weight exp(alpha * t); it may overflow to inf."""
@@ -255,28 +247,28 @@ def _check_steps(n_steps, minimum: int):
 
 
 def _march(pot: Polynomial1D, damping, x: float, v: float, t1: float, h: float, n_steps: int):
-    """Classical RK4 in Python floats for X'' + d(t) X' + s(t) f'(X) = 0 on a Polynomial1D from
-    (x, v) at t1; returns x and v, (n_steps + 1,) each, on the grid.  Per chunk of steps, d and
-    s come from one array call each over the step starts, midpoints (stages 2 and 3) and ends,
-    a scalar repeated; f' is inlined in grad_rows' operation order."""
-    ap, q, xstar, hh, h6 = pot.a * pot.p, pot.p - 1, pot.xstar, 0.5 * h, h / 6.0
+    """Classical RK4 in Python floats for X'' + d(t) X' + f'(X) = 0 on a Polynomial1D from
+    (x, v) at t1; returns x and v, (n_steps + 1,) each, on the grid.  Per chunk of steps, -d
+    comes from one array call each over the step starts, midpoints (stages 2 and 3) and ends,
+    a scalar repeated; f' is inlined in grad_rows' operation order, with the exponent
+    float(p - 1) that CPython's float ** int converts p - 1 to."""
+    ap, q, xstar, hh, h6 = pot.a * pot.p, float(pot.p - 1), pot.xstar, 0.5 * h, h / 6.0
     xs, vs = np.full(n_steps + 1, x), np.full(n_steps + 1, v)  # filled chunk by chunk
     try:
         for i0 in range(0, n_steps, _CHUNK):
             t = t1 + h * np.arange(i0, min(i0 + _CHUNK, n_steps))
             path_x, path_v = [], []
-            with np.errstate(over="ignore"):  # an infinite d or s surfaces in the state
-                sched = [itertools.repeat(float(r), len(t)) if np.ndim(r) == 0 else r.tolist()
-                         for s in (t, t + hh, t + h)
-                         for r in (damping.coefficient(s), damping.force(s))]
-            for d1, s1, d2, s2, d4, s4 in zip(*sched):
-                b1 = -d1 * v - s1 * (ap * (x - xstar) ** q)
+            with np.errstate(over="ignore"):  # an infinite d surfaces in the state
+                neg_d = [-np.asarray(damping.coefficient(s), dtype=float) for s in (t, t + hh, t + h)]
+            sched = [itertools.repeat(float(r), len(t)) if r.ndim == 0 else r.tolist() for r in neg_d]
+            for d1, d2, d4 in zip(*sched):  # -d at the step start, midpoint and end
+                b1 = d1 * v - ap * (x - xstar) ** q
                 a2 = v + hh * b1
-                b2 = -d2 * a2 - s2 * (ap * (x + hh * v - xstar) ** q)
+                b2 = d2 * a2 - ap * (x + hh * v - xstar) ** q
                 a3 = v + hh * b2
-                b3 = -d2 * a3 - s2 * (ap * (x + hh * a2 - xstar) ** q)
+                b3 = d2 * a3 - ap * (x + hh * a2 - xstar) ** q
                 a4 = v + h * b3
-                b4 = -d4 * a4 - s4 * (ap * (x + h * a3 - xstar) ** q)
+                b4 = d4 * a4 - ap * (x + h * a3 - xstar) ** q
                 x = x + h6 * (v + 2.0 * a2 + 2.0 * a3 + a4)
                 v = v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 path_x.append(x)
@@ -290,21 +282,19 @@ def _march(pot: Polynomial1D, damping, x: float, v: float, t1: float, h: float, 
     return xs, vs
 
 
-def integrate_flow(pot: Potential, damping: DampingSchedule | BregmanParams, x0, v0,
+def integrate_flow(pot: Potential, damping: DampingSchedule, x0, v0,
                    t1: float, t2: float, n_steps: int) -> Trajectory:
-    """Integrate X'' + d(t) X' + s(t) grad f(X) = 0 from (x0, v0), with
-    d = damping.coefficient and s = damping.force."""
+    """Integrate X'' + d(t) X' + grad f(X) = 0 from (x0, v0), with d = damping.coefficient."""
     _check_interval(damping, t1, t2)
     _check_steps(n_steps, 2)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if v0.size != x0.size or x0.size != pot.dim:
         raise ValueError("x0/v0 dimension mismatch with potential")
-    coef, force = damping.coefficient, damping.force
     t = np.linspace(t1, t2, n_steps + 1)
     if isinstance(pot, QuadraticDiagonal):
         # linear in x - x*: one 2x2 system per eigendirection
-        xs, vs = _propagate(coef, lambda s: force(s) * pot.eigenvalues,
+        xs, vs = _propagate(damping.coefficient, lambda s: pot.eigenvalues,
                             x0 - pot.xstar, v0, t1, t2, n_steps)
         xs += pot.xstar
         return Trajectory(t, xs, vs)
@@ -349,97 +339,8 @@ def integrate_gradient_flow(pot: Potential, x0, t1: float, t2: float,
     return Trajectory(np.linspace(t1, t2, n_steps + 1), xs, -pot.grad_rows(xs))
 
 
-# --------------------------------------------------------------------------
-# generalized exponential-schedule dynamics
-
-
-@dataclass(frozen=True)
-class TimeFunction:
-    """A scalar function of time with its derivative."""
-
-    fn: Callable[[float], float]
-    deriv_fn: Callable[[float], float]
-
-    def value(self, t: float) -> float:
-        return float(self.fn(t))
-
-    def deriv(self, t: float) -> float:
-        return float(self.deriv_fn(t))
-
-
-@dataclass(frozen=True)
-class BregmanParams:
-    """Schedule triple (a, b, g) of the Euclidean Bregman Lagrangian.
-
-    As a schedule for `integrate_flow` it gives the damping e^a - a' and the
-    force factor e^(2a+b); g enters only the ideal-scaling conditions.  The
-    TimeFunctions are evaluated point by point.  No command uses it; it is
-    kept because the Bregman-Lagrangian family is the one the paper studies,
-    and tests check that the vanishing-damping flow is a member of it.
-    """
-
-    alpha: TimeFunction
-    beta: TimeFunction
-    gamma: TimeFunction
-
-    def coefficient(self, t):
-        return _pointwise(lambda s: math.exp(self.alpha.value(s)) - self.alpha.deriv(s), t)
-
-    def force(self, t):
-        return _pointwise(lambda s: math.exp(2.0 * self.alpha.value(s) + self.beta.value(s)), t)
-
-
-def _pointwise(fn: Callable[[float], float], t):
-    """fn at a scalar t, or an array of fn in an array t's shape; overflow is NumericalError."""
-    try:
-        return fn(t) if np.ndim(t) == 0 else np.reshape([fn(s) for s in np.ravel(t)], np.shape(t))
-    except OverflowError as exc:
-        raise NumericalError("damping schedule overflows float64") from exc
-
-
-def nesterov_recovering_params() -> BregmanParams:
-    """The schedule that reproduces the c=3 vanishing-damping flow exactly.
-
-    a(t) = log(2/t), b(t) = 2 log(t/2), g(t) = 2 log t.  Note b carries a
-    -log 4 offset relative to 2 log t; the offset does not affect b'(t) (so
-    the ideal-scaling equalities still hold) but it is required for the
-    force term e^(2a+b) to equal one.  Kept as the paper's link between the
-    Bregman family and Nesterov's flow: tests check that it meets the
-    ideal-scaling conditions and reproduces that flow.
-    """
-    return BregmanParams(
-        alpha=TimeFunction(lambda t: math.log(2.0 / t), lambda t: -1.0 / t),
-        beta=TimeFunction(lambda t: 2.0 * math.log(t / 2.0), lambda t: 2.0 / t),
-        gamma=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
-    )
-
-
-@dataclass(frozen=True)
-class IdealScalingReport:
-    """Result of `check_ideal_scaling`: whether the conditions hold on the
-    grid, and by how much they fail at worst."""
-
-    holds: bool
-    max_violation: float
-
-
-def check_ideal_scaling(params: BregmanParams, t_grid) -> IdealScalingReport:
-    """Sample b'(t) <= e^a(t) and g'(t) = e^a(t) on the grid, to 1e-9.
-
-    These ideal-scaling conditions define the Bregman-Lagrangian family
-    whose stationary paths the library classifies; no command calls this,
-    and tests use it to check that `nesterov_recovering_params` meets them.
-    """
-    worst = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        ea = math.exp(params.alpha.value(t))
-        worst = max(worst, params.beta.deriv(t) - ea, abs(params.gamma.deriv(t) - ea))
-    return IdealScalingReport(holds=bool(worst <= 1e-9), max_violation=float(max(worst, 0.0)))
-
-
-def el_residual(traj: Trajectory, pot: Potential,
-                damping: DampingSchedule | BregmanParams) -> float:
-    """Max interior norm of X'' + d(t) X' + s(t) grad f(X), with X'' a
+def el_residual(traj: Trajectory, pot: Potential, damping: DampingSchedule) -> float:
+    """Max interior norm of X'' + d(t) X' + grad f(X), with X'' a
     centered difference of the stored velocities, over chunks of _CHUNK rows
     (max is exact, and a NaN in any chunk stays NaN)."""
     n = len(traj.t)
@@ -451,8 +352,7 @@ def el_residual(traj: Trajectory, pot: Potential,
         j = min(i + _CHUNK, n - 1)
         acc = (traj.v[i + 1:j + 1] - traj.v[i - 1:j - 1]) / (2.0 * h)
         coef = np.reshape(damping.coefficient(traj.t[i:j]), (-1, 1))
-        force = np.reshape(damping.force(traj.t[i:j]), (-1, 1))
-        res = acc + coef * traj.v[i:j] + force * pot.grad_rows(traj.x[i:j])
+        res = acc + coef * traj.v[i:j] + pot.grad_rows(traj.x[i:j])
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(res, axis=1)
             # a finite row whose squares overflow: m * |row / m|, m its largest entry

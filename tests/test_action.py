@@ -321,13 +321,14 @@ def test_span_nodes_match_per_span_linspace(t1, width, fractions, n_steps):
     assert all(type(v) is int for span in spans for v in span[:2])
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e-10], ids=["on_grid", "off_grid"])
-def test_knot_must_be_a_grid_time(offset):
-    # the knot splits the quadrature only where it equals a grid time exactly
+@pytest.mark.parametrize("knot", [2.0, 2.0 + 1e-10, math.nextafter(2.0, 3.0), 1.0, 3.5],
+                         ids=["on_grid", "off_grid", "ulp_off_grid", "at_t1", "past_t2"])
+def test_knot_must_be_a_grid_time(knot):
+    # the knot splits the quadrature only where it equals an interior grid time exactly
     spec = _spec()
     t = np.concatenate([np.linspace(1.0, 2.0, 33), np.linspace(2.0, 3.0, 33)[1:]])
-    curve = Trajectory(t, np.zeros_like(t), np.ones_like(t), knots=(2.0 + offset,))
-    if offset:
+    curve = Trajectory(t, np.zeros_like(t), np.ones_like(t), knots=(knot,))
+    if knot != 2.0:
         with pytest.raises(ValueError, match="knot time missing"):
             action(spec, curve)
     else:  # 0.5 int t^3 dt over [1, 3], exact under Simpson

@@ -11,16 +11,15 @@ import pytest
 import vnag
 
 SURFACE = [
-    "BregmanParams", "Classification", "ConfigError", "ConjugateReport",
-    "Constant", "DampingSchedule", "IdealScalingReport", "LagrangianSpec",
-    "NumericalError", "Perturbation", "Polynomial1D", "Potential",
-    "QuadraticDiagonal", "TimeFunction", "Trajectory", "Vanishing", "action",
-    "bessel_j1", "bessel_y1", "check_ideal_scaling", "classify",
+    "Classification", "ConfigError", "ConjugateReport", "Constant",
+    "DampingSchedule", "LagrangianSpec", "NumericalError", "Perturbation",
+    "Polynomial1D", "Potential", "QuadraticDiagonal", "Trajectory",
+    "Vanishing", "action", "bessel_j1", "bessel_y1", "classify",
     "conjugate_points_along", "conjugate_points_bessel",
     "conjugate_points_shooting", "constant_damping_solution", "el_residual",
-    "epsilon_star", "first_conjugate_time", "first_variation", "fourier_sine",
-    "integrate_flow", "integrate_gradient_flow", "jacobi_closed_vanishing",
-    "jacobi_solution", "nesterov_recovering_params", "perturb_curve",
+    "epsilon_star", "first_conjugate_time", "first_variation",
+    "fourier_sine", "integrate_flow", "integrate_gradient_flow",
+    "jacobi_closed_vanishing", "jacobi_solution", "perturb_curve",
     "saddle_witness", "scale", "second_variation", "sinusoid",
     "sinusoid_d2j_closed", "triangle", "triangle_d2j_closed",
 ]

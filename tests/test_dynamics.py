@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from vnag import (BregmanParams, Constant, NumericalError, Polynomial1D,
-                  QuadraticDiagonal, TimeFunction, Trajectory, Vanishing,
-                  check_ideal_scaling, constant_damping_solution, el_residual,
-                  integrate_flow, integrate_gradient_flow,
-                  nesterov_recovering_params)
+from vnag import (Constant, NumericalError, Polynomial1D, QuadraticDiagonal,
+                  Trajectory, Vanishing, constant_damping_solution, el_residual,
+                  integrate_flow, integrate_gradient_flow)
 from vnag import dynamics
 from vnag.experiments import trajectory_table
 from vnag.numtext import csv
@@ -101,67 +99,6 @@ def test_el_residual_chunks_keep_max_and_nan():
     assert math.isnan(el_residual(Trajectory(t, x, np.zeros((n, 1))), pot, Vanishing(3.0)))
 
 
-def test_bregman_recovers_vanishing_flow():
-    # the quadratic takes the propagator, x^4 the scalar stepper
-    for pot in (QuadraticDiagonal([1.0]), Polynomial1D(1.0, 4)):
-        tr1 = integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 0.1, 10.0, 4000)
-        tr2 = integrate_flow(pot, nesterov_recovering_params(), [1.0], [0.0], 0.1, 10.0, 4000)
-        assert np.max(np.abs(tr1.x - tr2.x)) <= 1e-10
-        assert np.max(np.abs(tr1.v - tr2.v)) <= 1e-10
-
-
-def _unshifted_beta():
-    """Nesterov's schedule with beta(t) = 2 log t (no -log 4 shift): the force is 4."""
-    return BregmanParams(
-        alpha=TimeFunction(lambda t: math.log(2.0 / t), lambda t: -1.0 / t),
-        beta=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
-        gamma=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
-    )
-
-
-def test_bregman_with_unshifted_beta_scales_the_force():
-    # the unshifted beta turns the force into 4 grad f
-    params = _unshifted_beta()
-    for pot, pot4 in ((QuadraticDiagonal([1.0]), QuadraticDiagonal([4.0])),
-                      (Polynomial1D(1.0, 4), Polynomial1D(4.0, 4))):
-        tr = integrate_flow(pot, params, [1.0], [0.0], 0.1, 10.0, 4000)
-        ref = integrate_flow(pot4, Vanishing(3.0), [1.0], [0.0], 0.1, 10.0, 4000)
-        assert np.max(np.abs(tr.x - ref.x)) <= 1e-10
-
-
-def test_bregman_rate():
-    pot = QuadraticDiagonal([1.0])
-    tr = integrate_flow(pot, nesterov_recovering_params(), [1.0], [0.0], 0.1, 10.0, 4000)
-    mask = tr.t >= 1.0
-    assert np.max(tr.t[mask] ** 2 * pot.value_rows(tr.x[mask])) <= 8.0
-
-
-def test_equilibrium_bregman():
-    pot = QuadraticDiagonal([2.0], xstar=[1.5])
-    tr = integrate_flow(pot, nesterov_recovering_params(), [1.5], [0.0], 0.1, 5.0, 200)
-    assert np.max(np.abs(tr.x - 1.5)) <= 1e-14
-
-
-def test_ideal_scaling():
-    grid = np.linspace(0.1, 10.0, 300)
-    assert check_ideal_scaling(nesterov_recovering_params(), grid).holds
-    # beta-dot too large: 3/t > e^alpha = 2/t
-    bad = BregmanParams(
-        alpha=TimeFunction(lambda t: math.log(2.0 / t), lambda t: -1.0 / t),
-        beta=TimeFunction(lambda t: 3.0 * math.log(t), lambda t: 3.0 / t),
-        gamma=TimeFunction(lambda t: 2.0 * math.log(t), lambda t: 2.0 / t),
-    )
-    rep = check_ideal_scaling(bad, np.linspace(1.0, 10.0, 100))
-    assert not rep.holds and rep.max_violation > 0
-    # gamma(t) = t with alpha = 0 satisfies the equality condition
-    lin = BregmanParams(
-        alpha=TimeFunction(lambda t: 0.0, lambda t: 0.0),
-        beta=TimeFunction(lambda t: 0.0, lambda t: 0.0),
-        gamma=TimeFunction(lambda t: t, lambda t: 1.0),
-    )
-    assert check_ideal_scaling(lin, np.linspace(0.0, 5.0, 50)).holds
-
-
 def test_constant_damping_solution_regimes():
     pot = QuadraticDiagonal([2.0])
     for alpha in (0.5, 2.0 * math.sqrt(2.0), 5.0):
@@ -239,9 +176,8 @@ def test_step_maps_float_path_matches_column_path():
     # column of them: the entries agree bit for bit
     t = np.linspace(0.3, 7.0, 9)
     eig = np.array([0.04, 0.9, 7.0])
-    cases = [(d.coefficient, lambda s, d=d: d.force(s) * eig)
-             for d in (Vanishing(3.0), Vanishing(2.5), Constant(0.15),
-                       nesterov_recovering_params())]
+    cases = [(d.coefficient, lambda s: eig)
+             for d in (Vanishing(3.0), Vanishing(2.5), Constant(0.15))]
     cases.append((Vanishing(2.5).coefficient, lambda s: 0.9))  # a Jacobi field's scalar curvature
     for (dampf, qfn), h in itertools.product(cases, (0.01, 0.37)):
         col = [np.broadcast_to(e, (len(t), 3))
@@ -297,9 +233,8 @@ def _reference_rk4(rhs, y0, t1, t2, n):
 
 def test_scalar_stepper_matches_reference_rk4(monkeypatch):
     # the float stepper does the reference's operations in the same order,
-    # so Polynomial1D flows and gradient flows agree bit for bit; the
-    # unshifted-beta schedule pins the force column (4, not 1)
-    dampings = (Vanishing(3.0), Vanishing(2.5), Constant(0.7), _unshifted_beta())
+    # so Polynomial1D flows and gradient flows agree bit for bit
+    dampings = (Vanishing(3.0), Vanishing(2.5), Constant(0.7))
     one_chunk = dynamics._CHUNK
     for p, damping in itertools.product((2, 4, 6), dampings):
         pot = Polynomial1D(0.8, p, 0.1)
@@ -308,8 +243,7 @@ def test_scalar_stepper_matches_reference_rk4(monkeypatch):
             return np.array([pot.a * p * (x[0] - pot.xstar) ** (p - 1)])
 
         def rhs(t, y):
-            return np.concatenate((y[1:], -damping.coefficient(t) * y[1:]
-                                   - damping.force(t) * grad(y[:1])))
+            return np.concatenate((y[1:], -damping.coefficient(t) * y[1:] - grad(y[:1])))
 
         ref = _reference_rk4(rhs, [1.2, -0.3], 0.2, 6.0, 600)
         for chunk in (one_chunk, 7):  # one schedule chunk, and 86 with a short last one
@@ -335,14 +269,9 @@ def test_divergence_raises_numerical_error():
         integrate_gradient_flow(Polynomial1D(1.0, 4), [1e120], 0.0, 1.0, 10)
     with pytest.raises(NumericalError):
         integrate_gradient_flow(QuadraticDiagonal([1e300]), [1.0], 0.0, 10.0, 10)
-    # math.exp of a Bregman schedule overflows on the propagator path and the
-    # float stepper alike
-    zero = TimeFunction(lambda t: 0.0, lambda t: 0.0)
-    steep = BregmanParams(TimeFunction(lambda t: 800.0 * t, lambda t: 800.0), zero, zero)
+    # c/t overflows to inf without a RuntimeWarning, on the propagator path
+    # and the float stepper alike
     for pot in (QuadraticDiagonal([1.0]), Polynomial1D(1.0, 4)):
-        with pytest.raises(NumericalError):
-            integrate_flow(pot, steep, [1.0], [0.0], 0.0, 1.0, 10)
-        # c/t overflows to inf without a RuntimeWarning
         with pytest.raises(NumericalError):
             integrate_flow(pot, Vanishing(3.0), [1.0], [0.0], 1e-320, 1.0, 10)
 
