@@ -13,7 +13,10 @@ g = 2 log t: its damping e^a - a' is 3/t and its force e^(2a+b) is 1.
 fixed-step RK4 in phase space (X, V), on the fixed grids the quadrature and
 conjugate-point code need.  Linear systems (quadratic flows in x - x*, and
 Jacobi fields) chain per-direction 2x2 RK4 step maps, each entry at its
-natural broadcast shape, by a buffered chunked prefix scan; one-dimensional
+natural broadcast shape, by a buffered chunked prefix scan.  Maps without a
+time axis (constant damping) are one matrix: their running products are made
+once per call, by doubling (one transient of at most 64 KiB per pass), and
+reused by every chunk.  One-dimensional
 nonlinear flows step in Python floats (f' inlined; gradient flows call it).
 """
 from __future__ import annotations
@@ -143,10 +146,11 @@ class Trajectory:
 
     def _hermite(self, times):
         """Cubic-Hermite positions (n, d) at times in range, with each time's interval
-        i, its width w (n, 1) and the fraction s of it, which `sample` reuses."""
+        i, its width w (n, 1) and the fraction s of it, which `sample` reuses.  No times
+        give (0, d); a NaN time is out of range (min and max carry it, and fail both tests)."""
         q = np.atleast_1d(np.asarray(times, dtype=float))
         tol = 1e-12 * (self.t[-1] - self.t[0])
-        if q.min() < self.t[0] - tol or q.max() > self.t[-1] + tol:
+        if q.size and not (q.min() >= self.t[0] - tol and q.max() <= self.t[-1] + tol):
             raise ValueError("sample times outside trajectory range")
         i = np.clip(np.searchsorted(self.t, q, side="right") - 1, 0, len(self.t) - 2)
         w = (self.t[i + 1] - self.t[i])[:, None]
@@ -194,26 +198,39 @@ def _linear_chunks(dampf, qfn, y0, u0, t1: float, h: float, n_steps: int):
     maps fill one (2, 2, m, k) buffer; a Hillis-Steele scan makes it the running
     products in place, each pass two broadcast multiplies into product buffers and
     one add.  The three buffers (96 max(_CHUNK, k) bytes) start on a 64-byte boundary,
-    so their speed does not depend on where the allocator put them."""
+    so their speed does not depend on where the allocator put them.
+
+    When no map entry has a time axis (constant damping with a constant q), every
+    step map is the same, so the maps and their running products are made once per
+    call: each later chunk reuses them, a short last chunk their prefix.  With one
+    map, all of p[s - 1:] holds one product before the pass with shift s, so that
+    pass need only fill p[s:2s], with p[s - 1] p[:s]; later passes fill the rest.
+    Every entry gets the operands of the full scan in the same order, so the same
+    bits, from O(m) products.  p[s - 1] is repeated into a transient array of at
+    most 16 max(_CHUNK, k) bytes per pass."""
     m = max(1, _CHUNK // y0.size)
     raw = np.empty(12 * m * y0.size + 8)
     skip = -raw.__array_interface__["data"][0] % 64 // 8
     buf, prod0, prod1 = raw[skip:skip + 12 * m * y0.size].reshape(3, 2, 2, m, y0.size)
-    y, u = y0, u0
+    y, u, fixed = y0, u0, False
     for i0 in range(0, n_steps, m):
         n = min(m, n_steps - i0)
         p = buf[:, :, :n]
         # divergence surfaces as NaN/inf in the state, reported as NumericalError
         with np.errstate(over="ignore", invalid="ignore"):
-            p[0, 0], p[0, 1], p[1, 0], p[1, 1] = _step_maps(
-                dampf, qfn, (t1 + h * np.arange(i0, i0 + n))[:, None], h)
-            s = 1
-            while s < n:  # p[i] <- p[i] p[i - s]
-                a, b = p[:, :, s:], p[:, :, :-s]
-                np.multiply(a[:, 0, None], b[None, 0], out=prod0[:, :, :n - s])
-                np.multiply(a[:, 1, None], b[None, 1], out=prod1[:, :, :n - s])
-                np.add(prod0[:, :, :n - s], prod1[:, :, :n - s], out=a)
-                s *= 2
+            if not fixed:
+                maps = _step_maps(dampf, qfn, (t1 + h * np.arange(i0, i0 + n))[:, None], h)
+                p[0, 0], p[0, 1], p[1, 0], p[1, 1] = maps
+                fixed = all(np.ndim(e) < 2 for e in maps)
+                s = 1
+                while s < n:  # p[i] <- p[i] p[i - s]; with one map, p[s:2s] <- p[s - 1] p[:s]
+                    w = min(s, n - s) if fixed else n - s
+                    a = np.repeat(p[:, :, s - 1:s], w, axis=2) if fixed else p[:, :, s:]
+                    b = p[:, :, :w]
+                    np.multiply(a[:, 0, None], b[None, 0], out=prod0[:, :, :w])
+                    np.multiply(a[:, 1, None], b[None, 1], out=prod1[:, :, :w])
+                    np.add(prod0[:, :, :w], prod1[:, :, :w], out=p[:, :, s:s + w])
+                    s *= 2
             ys, us = p[0, 0] * y + p[0, 1] * u, p[1, 0] * y + p[1, 1] * u
             if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(us))):
                 raise NumericalError("non-finite state encountered during integration")

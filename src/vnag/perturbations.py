@@ -59,6 +59,8 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if not 0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
     def values(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(h(t), h'(t)) from one pass over t; a triangle fills sorted t by slices."""

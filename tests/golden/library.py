@@ -9,7 +9,13 @@ c = 3, triangle `values` on sorted, unsorted and span-grid times,
 `integrate_flow` on quadratics (1, 2 and 100 directions) and on
 polynomials of degree 2, 4 and 6 under three dampings, `el_residual` on
 each of those flows, `integrate_gradient_flow`, `jacobi_solution`,
-`conjugate_points_shooting` and `conjugate_points_along`.  Each result is
+`conjugate_points_shooting` and `conjugate_points_along`; then constant
+damping, whose step maps do not depend on time: `integrate_flow` at 1, 2 and
+100 directions with step counts either side of one and two chunks, undamped,
+under- and overdamped, one divergent flow and fig3's 24,000-step flow, and
+`jacobi_solution` and `conjugate_points_shooting` at 10,000 and 20,000
+steps; last `first_variation`, `perturb_curve`, and sinusoid and Fourier
+`values` on their own, ends and one ulp past them included.  Each result is
 digested through `float.hex` and array bytes, so a change of one ulp, or of
 the sign of a zero, changes it; a call that raises is digested by its
 exception type and message.  Every call runs with warnings raised as
@@ -21,6 +27,7 @@ manifests.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -32,9 +39,9 @@ import numpy as np
 from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal, Vanishing,
                   conjugate_points_along, conjugate_points_bessel,
                   conjugate_points_shooting, el_residual, first_conjugate_time,
-                  fourier_sine, integrate_flow, integrate_gradient_flow,
-                  jacobi_solution, saddle_witness, second_variation, sinusoid,
-                  triangle)
+                  first_variation, fourier_sine, integrate_flow, integrate_gradient_flow,
+                  jacobi_solution, perturb_curve, saddle_witness, scale, second_variation,
+                  sinusoid, triangle)
 from vnag.action import _span_nodes
 from vnag.bessel import _j1_y1
 from vnag.jacobi import _cross_product_roots
@@ -225,6 +232,70 @@ def cases() -> list:
         window = (w1, rng.uniform(w1 + 1.0, t2), rng.choice((1000, 20000)))
         out.append((f"conjugate_points_along/{i:02d}", lambda b=base, w=window:
                     conjugate_points_along(integrate_flow(*b), b[0], b[1], *w)))
+
+    # constant damping, whose step maps do not depend on time: chunk counts
+    # around one chunk (m steps at k directions), undamped, under- and overdamped
+    for k in (1, 2, 100):
+        m = 4096 // k
+        for n_steps in (m - 1, m, m + 1, 2 * m + 3):
+            for zeta in (0.0, rng.uniform(0.05, 0.9), rng.uniform(1.1, 3.0)):
+                lams = [lu(0.5, 2.0) for _ in range(k)]
+                pot = QuadraticDiagonal(lams, [rng.uniform(-2.0, 2.0) for _ in range(k)])
+                t1 = lu(0.05, 5.0)
+                a = (pot, Constant(2.0 * zeta * math.sqrt(min(lams) if zeta < 1 else max(lams))),
+                     [rng.uniform(-2.0, 2.0) for _ in range(k)],
+                     [rng.uniform(-1.0, 1.0) for _ in range(k)], t1, t1 + lu(0.5, 10.0), n_steps)
+                out.append((f"integrate_flow/constant/k={k}/n={n_steps}/zeta={zeta:.3f}",
+                            lambda a=a: _trajectory(integrate_flow(*a))))
+    # past RK4's stability limit, non-finite in the fourth chunk; fig3's 24,000-step flow
+    out.append(("integrate_flow/constant/unstable", lambda: _trajectory(integrate_flow(
+        QuadraticDiagonal([1e4]), Constant(0.0), [1.0], [0.0], 0.0, 570.0, 20000))))
+    out.append(("integrate_flow/constant/fig3", lambda: _trajectory(integrate_flow(
+        QuadraticDiagonal([0.04, 0.0008]), Constant(0.2), [1.0, 1.0], [0.0, 0.0],
+        0.01, 300.0, 24000))))
+    for i in range(12):
+        lam, t1 = lu(1e-2, 1e2), lu(0.05, 5.0)
+        alpha = (0.0, rng.uniform(0.1, 1.9), rng.uniform(2.1, 4.0))[i % 3] * math.sqrt(lam)
+        spec = LagrangianSpec(Constant(alpha), QuadraticDiagonal([1.0]))
+        a = (spec, lam, t1, t1 + lu(0.5, 30.0) / math.sqrt(lam), (10000, 20000)[(i // 3) % 2])
+        out.append((f"jacobi_solution/constant/{i:02d}", lambda a=a: jacobi_solution(*a)))
+        out.append((f"conjugate_points_shooting/constant/{i:02d}",
+                    lambda a=a: conjugate_points_shooting(*a)))
+
+    for i in range(12):
+        k = (1, 3)[i % 2]
+        pot = QuadraticDiagonal([lu(1e-2, 1e2) for _ in range(k)],
+                                [rng.uniform(-2.0, 2.0) for _ in range(k)]) if i % 4 < 2 \
+            else Polynomial1D(lu(0.1, 10.0), rng.choice((2, 4)), rng.uniform(-2.0, 2.0))
+        damping = dampings[i % 3]
+        t1 = lu(0.1, 2.0)
+        t2 = t1 + lu(1.0, 20.0)
+        base = integrate_flow(pot, damping, [rng.uniform(-2.0, 2.0) for _ in range(pot.dim)],
+                              [0.0] * pot.dim, t1, t2, rng.choice((100, 1000, 5000)))
+        c = rng.uniform(t1 + 0.1 * (t2 - t1), t2 - 0.1 * (t2 - t1))
+        h = (triangle(c, rng.uniform(0.05, 0.95) * min(c - t1, t2 - c), t1, t2),
+             sinusoid(rng.randrange(1, 5), t1, t2),
+             fourier_sine(rng.randrange(100), rng.randrange(1, 9), 1.5, t1, t2))[i % 3]
+        h = scale(h, rng.uniform(0.1, 2.0)) if i % 2 else h
+        h = dataclasses.replace(h, component=rng.randrange(pot.dim))
+        spec = LagrangianSpec(damping, pot)
+        out.append((f"first_variation/{i:02d}", lambda a=(spec, base, h, rng.choice(
+            (64, 1000, 4096))): first_variation(*a)))
+        out.append((f"perturb_curve/{i:02d}", lambda a=(base, h): _trajectory(perturb_curve(*a))))
+
+    for i in range(20):
+        t1 = rng.uniform(-10.0, 10.0)
+        t2 = t1 + lu(1e-3, 1e3)
+        h = sinusoid(rng.randrange(1, 9), t1, t2) if i % 2 else \
+            fourier_sine(rng.randrange(100), rng.randrange(1, 17), rng.uniform(0.5, 3.0), t1, t2)
+        # inside, the ends, one ulp either side of them, and past them
+        ends = [math.nextafter(t1, -math.inf), t1, math.nextafter(t1, math.inf),
+                math.nextafter(t2, -math.inf), t2, math.nextafter(t2, math.inf)]
+        t = np.array([rng.uniform(t1, t2) for _ in range(200)] + ends
+                     + [t1 - 0.1 * (t2 - t1), t2 + 0.1 * (t2 - t1)])
+        for label, times in (("sorted", np.sort(t)), ("unsorted", t),
+                             ("2d", t[:200].reshape(10, 20))):
+            out.append((f"{h.kind}_values/{i:02d}/{label}", lambda h=h, x=times: h.values(x)))
     return out
 
 

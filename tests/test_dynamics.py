@@ -165,6 +165,18 @@ def test_hermite_positions_are_sample_positions():
             assert np.array_equal(traj._hermite(times)[0], traj.sample(times)[0])
 
 
+def test_sample_of_no_times_and_nan_times():
+    traj = integrate_flow(QuadraticDiagonal([0.3, 5.0]), Constant(0.4), [1.0, -2.0],
+                          [0.5, 0.0], 0.0, 9.0, 250)
+    for times in ([], np.empty(0)):
+        xs, vs = traj.sample(times)
+        assert xs.shape == vs.shape == (0, 2)
+    # NaN compares False both ways, so it must not slip past the range check
+    for times in (np.nan, [np.nan], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.sample(times)
+
+
 def test_constant_coefficient_is_alpha():
     a = 0.7
     for t in (1.5, np.linspace(0.0, 3.0, 7), np.ones((4, 1))):
@@ -214,6 +226,60 @@ def test_propagator_chunk_seams(monkeypatch):
         got = integrate_flow(pot, d, [2.0, 1.0, 0.5], [0.0, -1.0, 0.3], t1, t2, n)
         for a, b in ((got.x, want.x), (got.v, want.v)):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def _chunk_bytes(qfn, y0, u0, h, n_steps):
+    """Every (i0, y bytes, y' bytes) `_linear_chunks` yields under constant damping,
+    and the message of the NumericalError that ended it (None if none did)."""
+    out = []
+    try:
+        for i0, y, u in dynamics._linear_chunks(Constant(0.3).coefficient, qfn, y0, u0,
+                                                0.3, h, n_steps):
+            out.append((i0, y.tobytes(), u.tobytes()))
+    except NumericalError as e:
+        return out, str(e)
+    return out, None
+
+
+def test_time_invariant_doubling_matches_scan():
+    # constant damping with a constant (k,) q has one step map, whose running
+    # products the doubling forms; the same row broadcast to (n, k) has a time
+    # axis, which forces the Hillis-Steele scan on every chunk
+    rng = np.random.default_rng(28)
+    for k in (1, 2, 3, 100):
+        lam, y0, u0 = rng.uniform(0.5, 2.0, k), rng.uniform(-1, 1, k), rng.uniform(-1, 1, k)
+        m = dynamics._CHUNK // k
+        for n_steps in (1, 2, m - 1, m, m + 1, 3 * m + 5):
+            fast = _chunk_bytes(lambda s: lam, y0, u0, 0.01, n_steps)
+            scan = _chunk_bytes(lambda s: np.broadcast_to(lam, (len(s), k)), y0, u0, 0.01, n_steps)
+            assert fast == scan and fast[1] is None
+            assert len(fast[0]) == -(-n_steps // m)
+    # past RK4's stability limit: the state overflows in the fourth chunk on both paths
+    lam = np.array([1e4])
+    fast = _chunk_bytes(lambda s: lam, np.ones(1), np.zeros(1), 0.0285, 20000)
+    scan = _chunk_bytes(lambda s: np.broadcast_to(lam, (len(s), 1)), np.ones(1), np.zeros(1),
+                        0.0285, 20000)
+    assert fast == scan and len(fast[0]) == 3
+    assert fast[1] == "non-finite state encountered during integration"
+
+
+def test_time_invariant_maps_are_made_once_per_call():
+    # each step-map evaluation calls q at the step starts, midpoints and ends
+    lam, calls = np.array([0.5, 2.0]), []
+
+    def counting(q):
+        def qfn(s):
+            calls.append(s)
+            return q(s)
+        return qfn
+
+    n_chunks = 4
+    n_steps = (n_chunks - 1) * (dynamics._CHUNK // 2) + 5
+    for qfn, evaluations in ((lambda s: lam, 1),
+                             (lambda s: np.broadcast_to(lam, (len(s), 2)), n_chunks)):
+        calls.clear()
+        chunks = _chunk_bytes(counting(qfn), np.ones(2), np.zeros(2), 0.01, n_steps)[0]
+        assert len(chunks) == n_chunks and len(calls) == 3 * evaluations
 
 
 def _reference_rk4(rhs, y0, t1, t2, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,21 @@ def test_scale():
         np.testing.assert_array_equal(doubled, 2.0 * single)
     with pytest.raises(ValueError):
         scale(h, -1.0)
+
+
+def test_non_finite_sigma_is_rejected():
+    # NaN passed `sigma < 0`, and its second variation came back NaN without an error
+    h = sinusoid(1, 0.0, 2.0)
+    for make in (lambda s: scale(h, s), lambda s: dataclasses.replace(h, sigma=s),
+                 lambda s: Perturbation("sinusoid", 0.0, 2.0, sigma=s, params=(1,))):
+        for sigma in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="sigma must be"):
+                make(sigma)
+    for sigma in (math.nan, math.inf):  # a product that is not finite, also 0 * inf
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            scale(scale(h, 0.0), sigma)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        scale(scale(h, 1e200), 1e200)
 
 
 _PROBES = {"triangle": triangle(2.0, 1.0, 0.5, 3.5), "sinusoid": sinusoid(2, 0.5, 3.5),
