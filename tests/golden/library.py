@@ -14,8 +14,13 @@ damping, whose step maps do not depend on time: `integrate_flow` at 1, 2 and
 100 directions with step counts either side of one and two chunks, undamped,
 under- and overdamped, one divergent flow and fig3's 24,000-step flow, and
 `jacobi_solution` and `conjugate_points_shooting` at 10,000 and 20,000
-steps; last `first_variation`, `perturb_curve`, and sinusoid and Fourier
-`values` on their own, ends and one ulp past them included.  Each result is
+steps; then `first_variation`, `perturb_curve`, and sinusoid and Fourier
+`values` on their own, ends and one ulp past them included; last
+`first_conjugate_time` under c = 2.5, 4 and 0.5 and under- and overdamped
+constant damping, with and without `t_max`, `classify` at c = 3, c = 2.5 and
+constant damping on two and three directions, and the closed forms
+`constant_damping_solution`, `epsilon_star`, `triangle_d2j_closed`,
+`sinusoid_d2j_closed` and `jacobi_closed_vanishing`.  Each result is
 digested through `float.hex` and array bytes, so a change of one ulp, or of
 the sign of a zero, changes it; a call that raises is digested by its
 exception type and message.  Every call runs with warnings raised as
@@ -37,11 +42,12 @@ from pathlib import Path
 import numpy as np
 
 from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal, Vanishing,
-                  conjugate_points_along, conjugate_points_bessel,
-                  conjugate_points_shooting, el_residual, first_conjugate_time,
-                  first_variation, fourier_sine, integrate_flow, integrate_gradient_flow,
+                  classify, conjugate_points_along, conjugate_points_bessel,
+                  conjugate_points_shooting, constant_damping_solution, el_residual,
+                  epsilon_star, first_conjugate_time, first_variation, fourier_sine,
+                  integrate_flow, integrate_gradient_flow, jacobi_closed_vanishing,
                   jacobi_solution, perturb_curve, saddle_witness, scale, second_variation,
-                  sinusoid, triangle)
+                  sinusoid, sinusoid_d2j_closed, triangle, triangle_d2j_closed)
 from vnag.action import _span_nodes
 from vnag.bessel import _j1_y1
 from vnag.jacobi import _cross_product_roots
@@ -296,6 +302,61 @@ def cases() -> list:
         for label, times in (("sorted", np.sort(t)), ("unsorted", t),
                              ("2d", t[:200].reshape(10, 20))):
             out.append((f"{h.kind}_values/{i:02d}/{label}", lambda h=h, x=times: h.values(x)))
+
+    # the shooting route of first_conjugate_time (c != 3) and its constant-damping
+    # formula, under- and overdamped; classify on every route
+    fct_dampings = (("c=2.5", lambda lam: Vanishing(2.5)), ("c=4", lambda lam: Vanishing(4.0)),
+                    ("c=0.5", lambda lam: Vanishing(0.5)),
+                    ("under", lambda lam: Constant(rng.uniform(0.0, 1.9) * math.sqrt(lam))),
+                    ("over", lambda lam: Constant(rng.uniform(2.1, 4.0) * math.sqrt(lam))))
+    for label, damping_for in fct_dampings:
+        for i in range(6):
+            lam, t1 = lu(1e-3, 1e3), lu(1e-2, 10.0)
+            spec = LagrangianSpec(damping_for(lam), QuadraticDiagonal([1.0]))
+            t_max = None if i % 2 else t1 + lu(0.1, 60.0) / math.sqrt(lam)
+            out.append((f"first_conjugate_time/{label}/{i}",
+                        lambda a=(spec, lam, t1, t_max): first_conjugate_time(*a)))
+    for label, damping in (("c=3", Vanishing(3.0)), ("c=2.5", Vanishing(2.5)),
+                           ("constant", Constant(rng.uniform(0.1, 2.0)))):
+        for i in range(6):
+            pot = QuadraticDiagonal([lu(1e-2, 1e2) for _ in range(2 + i % 2)])
+            t1 = lu(0.05, 5.0)
+            a = (pot, damping, t1, t1 + lu(0.5, 30.0) / math.sqrt(min(pot.eigenvalues)))
+            out.append((f"classify/{label}/{i}", lambda a=a: classify(*a)))
+
+    # the closed forms: critical, under- and overdamped solutions, probe
+    # second variations and eps*, and the Bessel Jacobi field down to t1 ~ 1e-200
+    for i in range(12):
+        lam = lu(1e-2, 1e2)
+        alpha = (2.0, rng.uniform(0.0, 1.9), rng.uniform(2.1, 4.0))[i % 3] * math.sqrt(lam)
+        t0 = rng.uniform(-5.0, 5.0)
+        t = np.array([t0 + lu(1e-3, 30.0) for _ in range(50)])
+        out.append((f"constant_damping_solution/{i:02d}", lambda a=(
+            lam, alpha, rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0), t, t0):
+            constant_damping_solution(*a)))
+    eps_args = [(lu(1e-6, 1e6), lu(1e-4, 1e4)) for _ in range(40)]
+    out.append(("epsilon_star/loguniform", lambda: [epsilon_star(*a) for a in eps_args]))
+    for a in ((0.0, 1.0), (1.2, 1.0), (1e300, 1.0), (-1.0, 1.0), (1.0, 0.0)):
+        out.append((f"epsilon_star/{a!r}", lambda a=a: epsilon_star(*a)))
+    tri_args = [(lu(1e-3, 1e3), lu(0.1, 10.0), lu(1e-3, 10.0), lu(0.1, 10.0)) for _ in range(40)]
+    out.append(("triangle_d2j_closed/loguniform",
+                lambda: [triangle_d2j_closed(*a) for a in tri_args]))
+    sin_args = []
+    for _ in range(40):
+        t1 = rng.uniform(-50.0, 50.0)
+        sin_args.append((t1, t1 + lu(1e-6, 100.0), rng.randrange(1, 9), lu(0.1, 10.0)))
+    out.append(("sinusoid_d2j_closed/random", lambda: [sinusoid_d2j_closed(*a) for a in sin_args]))
+    # e^t1 overflowing, subnormal and zero; a span below one ulp; k = 0
+    for a in ((700.0, 720.0, 1), (-720.0, -700.0, 2), (-800.0, -1.0, 1), (-1000.0, -999.0, 1),
+              (1.0, 1.0, 1), (0.0, 1.0, 0)):
+        out.append((f"sinusoid_d2j_closed/{a!r}", lambda a=a: sinusoid_d2j_closed(*a)))
+    for i in range(20):
+        beta, t1 = lu(1e-3, 1e3), lu(1e-3, 1e2)
+        ts = [t1 + lu(1e-6, 60.0) / math.sqrt(beta) for _ in range(20)]
+        out.append((f"jacobi_closed_vanishing/{i:02d}",
+                    lambda a=(beta, t1), ts=ts: [jacobi_closed_vanishing(*a, t) for t in ts]))
+    for a in ((1.0, 1e-200, 1.0), (1.0, 1.0, 1.0), (1.0, 0.0, 1.0)):
+        out.append((f"jacobi_closed_vanishing/{a!r}", lambda a=a: jacobi_closed_vanishing(*a)))
     return out
 
 
