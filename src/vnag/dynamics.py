@@ -120,6 +120,8 @@ class Trajectory:
             v = v[:, None]
         if t.ndim != 1 or len(t) < 2 or x.shape != (len(t), x.shape[1]) or v.shape != x.shape:
             raise ValueError("inconsistent trajectory arrays")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("time grid must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
         for arr in (t, x, v):
@@ -360,6 +362,7 @@ def el_residual(traj: Trajectory, pot: Potential, damping: DampingSchedule) -> f
     """Max interior norm of X'' + d(t) X' + grad f(X), with X'' a
     centered difference of the stored velocities, over chunks of _CHUNK rows
     (max is exact, and a NaN in any chunk stays NaN)."""
+    _check_interval(damping, traj.t1, traj.t2)
     n = len(traj.t)
     if n < 4:
         raise ValueError("need at least 4 grid points")

@@ -75,7 +75,7 @@ def second_variation_probes(pot: QuadraticDiagonal, damping, t1: float, t2: floa
                       "d2j_closed_form": closed, "relative_difference": rel})
     sign_changes = []
     for a, b in zip(table[:-1], table[1:]):
-        if a["d2j_quadrature"] * b["d2j_quadrature"] < 0:
+        if np.sign(a["d2j_quadrature"]) * np.sign(b["d2j_quadrature"]) < 0:
             sign_changes.append({"between": [a["perturbation"], b["perturbation"]]})
     if probes and probes[0].kind == "triangle":
         lam = float(pot.eigenvalues[0])

@@ -30,7 +30,6 @@ from .potentials import Polynomial1D, QuadraticDiagonal
 
 _ROOT_TOL = 1e-12  # absolute bracket width; widened to a few ulps for large arguments
 _REFINE_CAP = 100
-_DIP_FRACTION = 1e-11
 _SEARCH_SPAN = 50.0  # first-conjugate search cap: t1 + 50/sqrt(lam)
 
 
@@ -146,10 +145,9 @@ def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
 # Bessel cross-product roots (vanishing damping, c = 3)
 
 
-def _cross_product_roots(beta: float, t1: float, t_max: float,
-                         max_roots: int | None = None) -> list:
-    """Roots t in (t1, t_max] of the cross product w(sqrt(beta) t): the
-    zeros of `jacobi_closed_vanishing`; with max_roots >= 1, the first ones."""
+def _cross_product_roots(beta: float, t1: float, t_max: float):
+    """Yield the roots t in (t1, t_max] of the cross product w(sqrt(beta) t),
+    the zeros of `jacobi_closed_vanishing`, in order, each as the scan reaches it."""
     rb = math.sqrt(beta)
     s1 = rb * t1
     w = _cross_product(s1)
@@ -157,7 +155,6 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
     # Sturm comparison consecutive zeros of w lie more than pi apart, and s1 is one.
     # A pi/8 cell ending below the last zero + 3 holds none: w is not evaluated there.
     ds = math.pi / 8.0
-    roots = []
     s_end = rb * t_max
     s_a, w_a, skip = s1 + 1e-9 * max(1.0, s1), None, s1 + 3.0
     while s_a < s_end:
@@ -171,56 +168,36 @@ def _cross_product_roots(beta: float, t1: float, t_max: float,
         w_b = w(s_b)
         if w_a == 0.0 or w_a * w_b < 0.0:
             root = s_a if w_a == 0.0 else _refine(w, s_a, s_b, w_a, w_b)
-            roots.append(root / rb)
-            if max_roots is not None and len(roots) >= max_roots:
-                return roots
+            yield root / rb
             skip = root + 3.0
         s_a, w_a = s_b, w_b
-    return roots
 
 
 # --------------------------------------------------------------------------
 # RK4 shooting
 
 
-def _zeros_from_grid(t1: float, h: float, ys, us, dampf, qfn) -> list:
-    """Zeros of h marched on the nodes t1 + i h: each sign change between two
-    nodes is refined on one partial RK4 step map from the earlier node."""
-    a = np.abs(ys)
-    change = ys[:-1] * ys[1:] < 0.0
-    # at interior node i: no sign change from node i - 1, a local minimum of
-    # |h| far below max |h| over the nodes before it, same sign on both sides
-    mid, before = a[1:-1], np.maximum.accumulate(a)[:-2]
-    if np.any(~change[:-1] & (before > 0.0) & (mid < _DIP_FRACTION * before)
-              & (a[:-2] > mid) & (mid < a[2:]) & (ys[:-2] * ys[2:] > 0.0)):
-        # tangential (double) zero: not expected for these linear flows
-        raise NumericalError("sign-preserving near-zero dip: tangential zero suspected")
-
-    def h_from(i, tq):
-        t0 = t1 + i * h
-        m = _step_maps(dampf, qfn, t0, tq - t0)
-        return float(m[0] * ys[i] + m[1] * us[i])
-
-    return [float(_refine(lambda tq: h_from(i, tq), t1 + i * h, t1 + (i + 1) * h,
-                          ys[i], ys[i + 1]))
-            for i in np.flatnonzero(change)]
-
-
-def _shoot(dampf, qfn, t1: float, t2: float, n_steps: int, first_only: bool = False) -> list:
-    """Zeros in (t1, t2) of the Jacobi field with h(t1) = 0, h'(t1) = 1 over
-    n_steps RK4 steps.  With first_only the march stops after the first chunk
-    that holds a sign change, so its cost follows the first zero, not t2."""
+def _shoot(dampf, qfn, t1: float, t2: float, n_steps: int):
+    """Yield the zeros after t1 of the Jacobi field with h(t1) = 0, h'(t1) = 1,
+    marched over n_steps RK4 steps to t2, in order, each as the march reaches
+    it: a sign change between the nodes t1 + i h and t1 + (i + 1) h is refined
+    on one partial RK4 step map from the earlier node.  Signs, not products of
+    neighbours, mark a change, so a field far below 1 keeps its zeros."""
     h = (t2 - t1) / n_steps
     if t1 + h == t1:
         raise NumericalError(f"RK4 step {h} below one ulp of t1 = {t1}")
-    ys, us = [np.zeros(1)], [np.ones(1)]
-    for _, y, u in _linear_chunks(dampf, qfn, ys[0], us[0], t1, h, n_steps):
-        ys.append(y[:, 0])
-        us.append(u[:, 0])
-        if first_only and np.any(ys[-1] * np.append(ys[-2][-1], ys[-1][:-1]) < 0.0):
-            break
-    zeros = _zeros_from_grid(t1, h, np.concatenate(ys), np.concatenate(us), dampf, qfn)
-    return [z for z in zeros if t1 < z < t2]
+    y_end, u_end = np.zeros(1), np.ones(1)  # the state at the chunk's first node
+    for i0, y, u in _linear_chunks(dampf, qfn, y_end, u_end, t1, h, n_steps):
+        ys, us = np.concatenate((y_end, y[:, 0])), np.concatenate((u_end, u[:, 0]))
+        for j in np.flatnonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0.0):
+            t0, y0, u0 = t1 + (i0 + j) * h, ys[j], us[j]
+
+            def h_at(tq):
+                m = _step_maps(dampf, qfn, t0, tq - t0)
+                return float(m[0] * y0 + m[1] * u0)
+
+            yield float(_refine(h_at, t0, t1 + (i0 + j + 1) * h, y0, ys[j + 1]))
+        y_end, u_end = ys[-1:], us[-1:]
 
 
 def jacobi_solution(spec: LagrangianSpec, eigen_lambda: float, t1: float,
@@ -245,15 +222,15 @@ def conjugate_points_shooting(spec: LagrangianSpec, eigen_lambda: float,
     _check_interval(spec.damping, t1, t2)
     _check_steps(n_steps, 1000)
     lam = float(eigen_lambda)
-    zeros = _shoot(spec.damping.coefficient, lambda t: lam, t1, t2, n_steps)
-    return ConjugateReport(lam, t1, t2, tuple(zeros), "shooting")
+    zeros = tuple(_shoot(spec.damping.coefficient, lambda t: lam, t1, t2, n_steps))
+    return ConjugateReport(lam, t1, t2, zeros, "shooting")
 
 
 def conjugate_points_bessel(beta: float, t1: float, t2: float) -> ConjugateReport:
     """Conjugate times for vanishing damping 3/t from the Bessel condition."""
     _check_interval(Vanishing(3.0), t1, t2)
-    roots = [r for r in _cross_product_roots(beta, t1, t2) if t1 < r < t2]
-    return ConjugateReport(float(beta), t1, t2, tuple(roots), "closed_form")
+    roots = tuple(r for r in _cross_product_roots(beta, t1, t2) if t1 < r < t2)
+    return ConjugateReport(float(beta), t1, t2, roots, "closed_form")
 
 
 def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
@@ -274,8 +251,8 @@ def conjugate_points_along(base: Trajectory, pot: Polynomial1D, damping,
         ddf = pot.second_deriv(base._hermite(np.clip(np.ravel(t), base.t1, base.t2))[0])
         return ddf if np.ndim(t) else float(ddf[0, 0])
 
-    zeros = _shoot(damping.coefficient, curvature, t1, t2, n_steps)
-    return ConjugateReport(None, t1, t2, tuple(zeros), "shooting")
+    zeros = tuple(_shoot(damping.coefficient, curvature, t1, t2, n_steps))
+    return ConjugateReport(None, t1, t2, zeros, "shooting")
 
 
 # --------------------------------------------------------------------------
@@ -306,11 +283,9 @@ def first_conjugate_time(spec: LagrangianSpec, eigen_lambda: float, t1: float,
     if t_max is not None:
         cap = max(cap, t_max)
     if damping.c == 3.0:
-        roots = _cross_product_roots(lam, t1, cap, max_roots=1)
-        return roots[0] if roots else None
+        return next(_cross_product_roots(lam, t1, cap), None)
     n = max(4000, int(400 * (cap - t1) * math.sqrt(lam)))
-    zeros = _shoot(damping.coefficient, lambda t: lam, t1, cap, n, first_only=True)
-    return zeros[0] if zeros else None
+    return next(_shoot(damping.coefficient, lambda t: lam, t1, cap, n), None)
 
 
 def classify(pot: QuadraticDiagonal, damping, t1: float, t2: float) -> Classification:

@@ -179,6 +179,10 @@ def fourier_sine(seed: int, n_modes: int, decay: float,
     _check_interval(None, t1, t2)
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
+    if int(n_modes) != n_modes:
+        raise ValueError("n_modes must be an integer")
+    if not math.isfinite(decay):
+        raise ValueError("decay must be finite")
     if decay <= 0:
         raise ValueError("decay must be positive")
     rng = np.random.default_rng(int(seed))

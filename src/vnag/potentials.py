@@ -70,9 +70,11 @@ class Polynomial1D:
     def __post_init__(self):
         if not 0 < self.a < math.inf:
             raise ValueError("coefficient a must be positive and finite")
-        if self.p < 2 or self.p % 2 != 0:
-            # odd degrees are nonconvex on one side of xstar
+        if not isinstance(self.p, (int, np.integer)) or self.p < 2 or self.p % 2 != 0:
+            # odd degrees are nonconvex on one side of xstar; a float p changes f's bits
             raise ValueError("degree p must be an even integer >= 2")
+        if not math.isfinite(self.xstar):
+            raise ValueError("xstar must be finite")
 
     @property
     def dim(self) -> int:

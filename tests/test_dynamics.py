@@ -351,7 +351,13 @@ _GRID = np.linspace(0.0, 1.0, 5)
     (lambda: Trajectory(_GRID, np.zeros(5), np.zeros(5)).sample([1.5]), "outside"),
     (lambda: integrate_gradient_flow(QuadraticDiagonal([1.0, 2.0]), [1.0], 0.0, 1.0, 10),
      "x0 dimension"),
-], ids=["arrays", "grid", "sample_range", "gradient_flow_x0"])
+    (lambda: Trajectory([0.0, 0.5, math.nan], np.zeros(3), np.zeros(3)), "finite"),
+    (lambda: Trajectory([0.0, 0.5, math.inf], np.zeros(3), np.zeros(3)), "finite"),
+    # a window reaching t <= 0, where the damping 3/t is not defined
+    (lambda: el_residual(Trajectory(np.linspace(-1.0, 1.0, 6), np.zeros(6), np.zeros(6)),
+                         QuadraticDiagonal([1.0]), Vanishing(3.0)), "t1 > 0"),
+], ids=["arrays", "grid", "sample_range", "gradient_flow_x0", "grid_nan", "grid_inf",
+        "el_residual_window"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

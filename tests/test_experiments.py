@@ -4,7 +4,7 @@ that `numtext.csv` prints."""
 import numpy as np
 import pytest
 
-from vnag import experiments
+from vnag import QuadraticDiagonal, Vanishing, experiments, scale, triangle
 
 
 @pytest.mark.parametrize("name", sorted(experiments.FIGURES))
@@ -26,3 +26,15 @@ def test_figure_returns_artifacts_and_writes_nothing(tmp_path, monkeypatch, name
             _, chunks = artifact
             assert all(isinstance(chunk, bytes) for chunk in chunks)
     assert not list(tmp_path.rglob("*"))
+
+
+def test_sign_change_between_tiny_probe_values():
+    # d2J of about +-1e-298 at sigma 1e-150: the product of two neighbours
+    # underflows to -0.0, their signs still differ
+    probes = [scale(triangle(4.0, eps, 0.4, 8.0), 1e-150) for eps in (1.0, 3.2)]
+    body, _ = experiments.second_variation_probes(QuadraticDiagonal([1.0]), Vanishing(3.0),
+                                                  0.4, 8.0, 2048, probes)
+    values = [e["d2j_quadrature"] for e in body["results"]["table"]]
+    assert values[0] > 0.0 > values[1] and max(map(abs, values)) < 1e-297
+    between = [s for s in body["results"]["sign_changes"] if "between" in s]
+    assert between == [{"between": [probes[0].descriptor(), probes[1].descriptor()]}]

@@ -16,7 +16,6 @@ from vnag import (Constant, LagrangianSpec, Polynomial1D, QuadraticDiagonal,
                   sinusoid_d2j_closed, triangle, triangle_d2j_closed)
 from vnag import (NumericalError, Trajectory, dynamics, first_variation, fourier_sine,
                   integrate_gradient_flow, jacobi, jacobi_solution, sinusoid)
-from vnag.jacobi import _zeros_from_grid
 
 
 def _vspec(beta=1.0):
@@ -162,6 +161,16 @@ def test_shooting_time_translation_constant_damping(lam, ratio, t1, s):
     moved = conjugate_points_shooting(spec, lam, t1 + s, t2 + s).conjugate_times
     assert len(base) == len(moved) == 3
     np.testing.assert_allclose(moved, np.array(base) + s, rtol=0, atol=1e-8)
+
+
+def test_shooting_finds_zeros_of_a_tiny_field():
+    # h decays like exp(-2.5 t) to about 1e-217 by t = 200: past t ~ 146 the
+    # product of two neighbouring nodes underflows, their signs still differ
+    rep = conjugate_points_shooting(_cspec(5.0, 10.0), 10.0, 0.0, 200.0, n_steps=40000)
+    omega = math.sqrt(4.0 * 10.0 - 25.0) / 2.0
+    k = np.arange(1, len(rep.conjugate_times) + 1)
+    assert len(rep.conjugate_times) == 123
+    np.testing.assert_allclose(rep.conjugate_times, k * math.pi / omega, rtol=0, atol=1e-7)
 
 
 def test_shooting_critical_empty():
@@ -352,15 +361,6 @@ def test_first_conjugate_shooting_stops_at_first_root():
     assert peak < 8e6
     assert abs(long - short) <= 1e-9
     assert 4.0 < short < 4.5
-
-
-def test_tangential_dip_raises():
-    # a sign-preserving dip far below the running max of |h| is a suspected
-    # double zero that no sign change would reveal
-    us = np.ones(5)
-    with pytest.raises(NumericalError):
-        _zeros_from_grid(0.0, 0.1, np.array([0.0, 1.0, 1e-12, 1.0, 2.0]), us, None, None)
-    assert _zeros_from_grid(0.0, 0.1, np.array([0.0, 1.0, 1e-3, 1.0, 2.0]), us, None, None) == []
 
 
 def test_shooting_chunk_seams(monkeypatch):
@@ -681,16 +681,16 @@ def test_range_checks_scale_with_the_span(call, message):
         call()
 
 
-def test_root_scan_stops_at_max_roots_after_an_exact_zero(monkeypatch):
+def test_root_scan_yields_an_exact_zero_first(monkeypatch):
     # w(s) = (s - s_k) cos(s) is exactly 0 at the ninth scan point s_k, the
-    # first one past s1 + 3, where the scan starts evaluating w; that root
-    # counts toward max_roots like a refined sign change does
+    # first one past s1 + 3, where the scan starts evaluating w; the scan
+    # yields that root first, as it does a refined sign change
     s_k = 1.0 + 1e-9  # beta = t1 = 1: the scan starts at s1 + 1e-9
     for _ in range(8):
         s_k += math.pi / 8.0
     monkeypatch.setattr(jacobi, "_cross_product", lambda s1: lambda s: (s - s_k) * math.cos(s))
-    assert jacobi._cross_product_roots(1.0, 1.0, 10.0, max_roots=1) == [s_k]
-    everything = jacobi._cross_product_roots(1.0, 1.0, 10.0)
+    assert next(jacobi._cross_product_roots(1.0, 1.0, 10.0)) == s_k
+    everything = list(jacobi._cross_product_roots(1.0, 1.0, 10.0))
     assert everything[0] == s_k and len(everything) > 1
 
 
@@ -719,9 +719,9 @@ def test_root_scan_does_not_evaluate_where_no_zero_can_lie(monkeypatch):
         w = cross_product(s1)
         return lambda s: calls.append(s) or w(s)
 
-    expected = jacobi._cross_product_roots(beta, t1, t_max)
+    expected = list(jacobi._cross_product_roots(beta, t1, t_max))
     monkeypatch.setattr(jacobi, "_cross_product", recorded)
-    roots = jacobi._cross_product_roots(beta, t1, t_max)
+    roots = list(jacobi._cross_product_roots(beta, t1, t_max))
     assert roots == expected and len(roots) == 17
     for z in (s1, *(math.sqrt(beta) * r for r in roots)):
         assert not any(z + ds < s < z + 3.0 - ds for s in calls)

@@ -299,7 +299,9 @@ def test_interval_match_is_relative_to_the_window():
     (lambda: fourier_sine(1, 0, 1.0, 0.0, 1.0), "n_modes"),
     (lambda: fourier_sine(1, 3, 0.0, 0.0, 1.0), "decay"),
     (lambda: Perturbation("square", 0.0, 1.0), "unknown perturbation kind"),
-], ids=["n_modes", "decay", "kind"])
+    (lambda: fourier_sine(1, 2.5, 1.0, 0.0, 1.0), "n_modes"),
+    (lambda: fourier_sine(1, 3, math.nan, 0.0, 1.0), "decay"),
+], ids=["n_modes", "decay", "kind", "n_modes_fraction", "decay_nan"])
 def test_probe_arguments_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -44,6 +44,18 @@ def test_validation():
             Polynomial1D(a, 4)
 
 
+@pytest.mark.parametrize("xstar", [math.nan, math.inf, -math.inf])
+def test_polynomial_rejects_non_finite_xstar(xstar):
+    with pytest.raises(ValueError, match="xstar must be finite"):
+        Polynomial1D(1.0, 4, xstar)
+
+
+def test_polynomial_rejects_a_float_degree():
+    # a float p would change f's bits (float ** float) and the descriptor's
+    with pytest.raises(ValueError, match="even integer"):
+        Polynomial1D(1.0, 4.0)
+
+
 def test_gradient_finite_difference():
     # |(f(x+s*h)-f(x-s*h))/(2s) - <grad f, h>| <= 1e-6 (1 + |grad||h|)
     rng = np.random.default_rng(7)
